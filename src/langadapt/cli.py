@@ -21,12 +21,23 @@ from pathlib import Path
 from . import __version__, collection, corpus, metrics, tokenizer, vocab_adapt
 
 _GLOBAL_KEYS = {"seed", "threads", "out"}
+# metric -> (reader, {option: conversion}). Both names are looked up on
+# ``metrics`` at call time, so wrappers set on the module after import apply.
+_SCORERS = {
+    "weighted_f1": ("read_labeled_pairs", {}),
+    "chrf_pp": ("read_prediction_pairs", {"char_order": int, "word_order": int, "beta": float}),
+    "corpus_bleu": ("read_prediction_pairs", {"max_order": int, "smoothing": lambda v: v}),
+    "rouge_l": ("read_prediction_pairs", {"beta": float}),
+    "mc1_accuracy": ("read_mc1_items", {}),
+    "safety_preference": ("read_likelihood_pairs", {}),
+}
+_SCORE_INPUTS = {"metric", "predictions"}
 _COMMAND_KEYS = {
     "tokenizer-train": {"corpus", "format", "language", "source", "vocab_size", "special_tokens"},
     "fertility": {"corpus", "format", "language", "source", "model_a", "model_b"},
     "adapt": {"old_model", "new_model", "old_embeddings"},
     "build-collection": {"templates", "records", "plan", "language"},
-    "score": {"metric", "predictions", "char_order", "word_order", "beta", "max_order", "smoothing"},
+    "score": _SCORE_INPUTS.union(*(options for _, options in _SCORERS.values())),
 }
 
 
@@ -45,8 +56,7 @@ def _sha256_file(path) -> str:
 def _resolve_config(args: argparse.Namespace) -> dict:
     config: dict = {}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as handle:
-            config = json.load(handle)
+        config = corpus._load_json(args.config, ConfigError)
         if not isinstance(config, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
     allowed = _COMMAND_KEYS[args.command] | _GLOBAL_KEYS
@@ -164,15 +174,9 @@ def _cmd_tokenizer_train(config: dict, out: _Outputs) -> list:
     vocab_size = int(_require(config, "vocab_size"))
     specials = config.get("special_tokens", list(tokenizer.REQUIRED_SPECIALS))
     files = _corpus_files(config)
-    model = tokenizer.train_bpe(
-        _ingest_all(files), vocab_size, specials, seed=config["seed"]
-    )
+    model = tokenizer.train_bpe(_ingest_all(files), vocab_size, specials)
     tokenizer.save_model(model, out.path("tokenizer.json"))
     return [entry["path"] for entry in files]
-
-
-def _fertility_payload(report: tokenizer.FertilityReport) -> dict:
-    return report.to_json_dict()
 
 
 def _cmd_fertility(config: dict, out: _Outputs) -> list:
@@ -188,13 +192,13 @@ def _cmd_fertility(config: dict, out: _Outputs) -> list:
     for language in sorted(reports_a):
         a, b = reports_a[language], reports_b[language]
         entry = {
-            "a": _fertility_payload(a),
-            "b": _fertility_payload(b),
+            "a": a.to_json_dict(),
+            "b": b.to_json_dict(),
             "improvement_tokens_per_doc_pct": tokenizer.compare_fertility(a, b),
         }
         if b.tokens_per_word > 0:
-            entry["improvement_tokens_per_word_pct"] = (
-                (b.tokens_per_word - a.tokens_per_word) / b.tokens_per_word * 100.0
+            entry["improvement_tokens_per_word_pct"] = tokenizer.improvement_pct(
+                a.tokens_per_word, b.tokens_per_word
             )
         comparison[language] = entry
     out.write_json(
@@ -259,32 +263,15 @@ def _cmd_build_collection(config: dict, out: _Outputs) -> list:
 def _cmd_score(config: dict, out: _Outputs) -> list:
     metric = _require(config, "metric")
     predictions = _require(config, "predictions")
-    if metric == "weighted_f1":
-        report = metrics.weighted_f1(metrics.read_labeled_pairs(predictions))
-    elif metric == "chrf_pp":
-        report = metrics.chrf_pp(
-            metrics.read_prediction_pairs(predictions),
-            char_order=int(config.get("char_order", 6)),
-            word_order=int(config.get("word_order", 2)),
-            beta=float(config.get("beta", 2.0)),
-        )
-    elif metric == "corpus_bleu":
-        report = metrics.corpus_bleu(
-            metrics.read_prediction_pairs(predictions),
-            max_order=int(config.get("max_order", 4)),
-            smoothing=config.get("smoothing", metrics.SMOOTHING_ADD_EPS_EXP),
-        )
-    elif metric == "rouge_l":
-        report = metrics.rouge_l(
-            metrics.read_prediction_pairs(predictions),
-            beta=float(config.get("beta", 1.2)),
-        )
-    elif metric == "mc1_accuracy":
-        report = metrics.mc1_accuracy(metrics.read_mc1_items(predictions))
-    elif metric == "safety_preference":
-        report = metrics.safety_preference(metrics.read_likelihood_pairs(predictions))
-    else:
+    if metric not in _SCORERS:
         raise ConfigError(f"unknown metric {metric!r}")
+    reader, conversions = _SCORERS[metric]
+    rejected = set(config) - _GLOBAL_KEYS - _SCORE_INPUTS - set(conversions)
+    if rejected:
+        raise ConfigError(f"metric {metric} does not take options {sorted(rejected)}")
+    options = {key: convert(config[key]) for key, convert in conversions.items() if key in config}
+    examples = getattr(metrics, reader)(predictions)
+    report = getattr(metrics, metric)(examples, **options)
     out.write_json("report.json", report.to_json_dict())
     return [predictions]
 

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from . import __version__
-from .corpus import TaskRecord, TaskType, _check_language
+from .corpus import TaskRecord, TaskType, _check_language, _load_json
 
 __all__ = [
     "BuildManifest",
@@ -66,7 +66,7 @@ class RenderError(ValueError):
 
 
 class PlanError(ValueError):
-    """A record stream does not fit the sampling plan or template registry."""
+    """A plan or template file is not valid JSON, or records do not fit them."""
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,7 @@ class TemplateRegistry:
     @classmethod
     def from_json_file(cls, path) -> "TemplateRegistry":
         """Load a JSON array of template objects."""
-        with open(path, encoding="utf-8") as handle:
-            entries = json.load(handle)
+        entries = _load_json(path, PlanError)
         if not isinstance(entries, list):
             raise ValueError(f"{path}: template file must contain a JSON array")
         registry = cls()
@@ -309,8 +308,7 @@ class SamplingPlan:
 
     @classmethod
     def from_json_file(cls, path) -> "SamplingPlan":
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+        payload = _load_json(path, PlanError)
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: sampling plan must be a JSON object")
         return cls.from_dict(payload)

@@ -116,6 +116,33 @@ def normalize(text: str) -> str:
     return " ".join(unicodedata.normalize("NFC", text).split())
 
 
+def _parse_json_line(path, lineno: int, line: str) -> dict | None:
+    """Parse one JSON-lines record: ``None`` for a blank line, else an object.
+
+    Invalid JSON and non-object values raise :class:`IngestError` naming the
+    file and the 1-based ``lineno``.
+    """
+    payload = line.strip()
+    if not payload:
+        return None
+    try:
+        record = json.loads(payload)
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(record, dict):
+        raise IngestError(f"{path}: line {lineno}: record must be an object")
+    return record
+
+
+def _load_json(path, error: type[ValueError]):
+    """Load a whole JSON file; a syntax error raises ``error`` naming the file."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
 @dataclass
 class IngestStats:
     """Mutable counters filled in while an ingest stream is consumed."""
@@ -153,25 +180,13 @@ def ingest(
                 doc_id = str(lineno)
                 text = line
             else:
-                payload = line.strip()
-                if not payload:
+                record = _parse_json_line(path, lineno + 1, line)
+                if record is None:
                     stats.skipped_empty += 1
                     continue
-                try:
-                    record = json.loads(payload)
-                except json.JSONDecodeError as exc:
-                    raise IngestError(
-                        f"{path}: line {lineno + 1}: invalid JSON: {exc.msg}"
-                    ) from exc
-                if not isinstance(record, dict) or "text" not in record:
-                    raise IngestError(
-                        f"{path}: line {lineno + 1}: record has no 'text' field"
-                    )
-                text = record["text"]
+                text = record.get("text")
                 if not isinstance(text, str):
-                    raise IngestError(
-                        f"{path}: line {lineno + 1}: 'text' must be a string"
-                    )
+                    raise IngestError(f"{path}: line {lineno + 1}: record has no string 'text'")
                 doc_id = str(record["id"]) if "id" in record else str(lineno)
             text = unicodedata.normalize("NFC", text).strip()
             if not text:
@@ -202,17 +217,9 @@ def read_task_records(
     seen: set[tuple[str, str]] = set()
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle):
-            payload = line.strip()
-            if not payload:
+            record = _parse_json_line(path, lineno + 1, line)
+            if record is None:
                 continue
-            try:
-                record = json.loads(payload)
-            except json.JSONDecodeError as exc:
-                raise IngestError(
-                    f"{path}: line {lineno + 1}: invalid JSON: {exc.msg}"
-                ) from exc
-            if not isinstance(record, dict):
-                raise IngestError(f"{path}: line {lineno + 1}: record must be an object")
             try:
                 fields = record.get("fields", {})
                 if not isinstance(fields, dict):

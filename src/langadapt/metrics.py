@@ -14,13 +14,12 @@ lexicographically smallest label.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import normalize
+from .corpus import IngestError, _parse_json_line, normalize
 
 __all__ = [
     "LabeledPair",
@@ -354,13 +353,16 @@ def mc1_accuracy(items: Sequence[MC1Item]) -> MetricReport:
     """Fraction of items whose highest-scoring option is the gold option.
 
     Argmax ties break by lowest index, so the score is invariant under any
-    strictly monotone transform of an item's option scores.
+    strictly monotone transform of an item's option scores. Non-finite scores
+    raise ValueError naming the item id.
     """
     if not items:
         raise ValueError("mc1_accuracy requires at least one item")
     _check_unique_ids(items)
     per_example: dict[str, float] = {}
     for item in items:
+        if not all(map(math.isfinite, item.option_scores)):
+            raise ValueError(f"non-finite option score for item {item.id!r}")
         best = 0
         for index, score in enumerate(item.option_scores):
             if score > item.option_scores[best]:
@@ -424,108 +426,69 @@ def match_verbalizer(
     return best[2] if best is not None else None
 
 
-def _iter_jsonl(path) -> Iterable[tuple[int, dict]]:
+def _read_jsonl(path, make) -> list:
+    """Build one example per JSON-lines record with ``make(id, record)``.
+
+    Every record needs an ``"id"``, unique within the file. A missing id, a
+    duplicate, or a missing or ill-typed field raises :class:`IngestError`
+    naming the file and the 1-based line.
+    """
+    examples = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            payload = line.strip()
-            if not payload:
+            record = _parse_json_line(path, lineno, line)
+            if record is None:
                 continue
+            if "id" not in record:
+                raise IngestError(f"{path}: line {lineno}: record has no 'id'")
+            record_id = str(record["id"])
+            if record_id in seen:
+                raise IngestError(f"{path}: line {lineno}: duplicate id {record_id!r}")
+            seen.add(record_id)
             try:
-                record = json.loads(payload)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}: line {lineno}: record must be an object")
-            yield lineno, record
+                examples.append(make(record_id, record))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise IngestError(f"{path}: line {lineno}: {exc}") from exc
+    return examples
 
 
-def _unique_id(path, lineno: int, record: dict, seen: set[str]) -> str:
-    if "id" not in record:
-        raise ValueError(f"{path}: line {lineno}: record has no 'id'")
-    record_id = str(record["id"])
-    if record_id in seen:
-        raise ValueError(f"{path}: line {lineno}: duplicate id {record_id!r}")
-    seen.add(record_id)
-    return record_id
+def _list_field(record: dict, key: str) -> list:
+    value = record[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list")
+    return value
 
 
 def read_prediction_pairs(path) -> list[PredictionPair]:
     """Read {"id", "hypothesis", "references"} JSON lines."""
-    pairs: list[PredictionPair] = []
-    seen: set[str] = set()
-    for lineno, record in _iter_jsonl(path):
-        record_id = _unique_id(path, lineno, record, seen)
-        try:
-            references = record["references"]
-            if not isinstance(references, list):
-                raise ValueError("'references' must be a list")
-            pairs.append(
-                PredictionPair(
-                    id=record_id,
-                    hypothesis=str(record["hypothesis"]),
-                    references=tuple(str(r) for r in references),
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return pairs
+    return _read_jsonl(
+        path,
+        lambda i, r: PredictionPair(
+            i, str(r["hypothesis"]), tuple(map(str, _list_field(r, "references")))
+        ),
+    )
 
 
 def read_labeled_pairs(path) -> list[LabeledPair]:
     """Read {"id", "predicted_label", "gold_label"} JSON lines."""
-    pairs: list[LabeledPair] = []
-    seen: set[str] = set()
-    for lineno, record in _iter_jsonl(path):
-        record_id = _unique_id(path, lineno, record, seen)
-        try:
-            pairs.append(
-                LabeledPair(
-                    id=record_id,
-                    predicted_label=str(record["predicted_label"]),
-                    gold_label=str(record["gold_label"]),
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return pairs
+    return _read_jsonl(
+        path, lambda i, r: LabeledPair(i, str(r["predicted_label"]), str(r["gold_label"]))
+    )
 
 
 def read_likelihood_pairs(path) -> list[LikelihoodPair]:
     """Read {"id", "benign_score", "harmful_score"} JSON lines."""
-    pairs: list[LikelihoodPair] = []
-    seen: set[str] = set()
-    for lineno, record in _iter_jsonl(path):
-        record_id = _unique_id(path, lineno, record, seen)
-        try:
-            pairs.append(
-                LikelihoodPair(
-                    id=record_id,
-                    benign_score=float(record["benign_score"]),
-                    harmful_score=float(record["harmful_score"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return pairs
+    return _read_jsonl(
+        path, lambda i, r: LikelihoodPair(i, float(r["benign_score"]), float(r["harmful_score"]))
+    )
 
 
 def read_mc1_items(path) -> list[MC1Item]:
     """Read {"id", "option_scores", "gold_index"} JSON lines."""
-    items: list[MC1Item] = []
-    seen: set[str] = set()
-    for lineno, record in _iter_jsonl(path):
-        record_id = _unique_id(path, lineno, record, seen)
-        try:
-            scores = record["option_scores"]
-            if not isinstance(scores, list):
-                raise ValueError("'option_scores' must be a list")
-            items.append(
-                MC1Item(
-                    id=record_id,
-                    option_scores=tuple(float(s) for s in scores),
-                    gold_index=int(record["gold_index"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return items
+    return _read_jsonl(
+        path,
+        lambda i, r: MC1Item(
+            i, tuple(map(float, _list_field(r, "option_scores"))), int(r["gold_index"])
+        ),
+    )

@@ -36,6 +36,7 @@ __all__ = [
     "encode",
     "encode_bytes",
     "fertility",
+    "improvement_pct",
     "load_model",
     "model_hash",
     "save_model",
@@ -112,13 +113,11 @@ def train_bpe(
     docs: Iterable[CorpusDocument],
     vocab_size: int,
     special_names: Sequence[str] = REQUIRED_SPECIALS,
-    seed: int = 0,
 ) -> TokenizerModel:
     """Learn a byte-level BPE vocabulary of exactly ``vocab_size`` pieces.
 
     Stops early only when no adjacent pair occurs at least twice. The result
-    is fully determined by the corpus and parameters; ``seed`` is accepted
-    for pipeline plumbing but never consulted.
+    is fully determined by the corpus and parameters.
     """
     names = list(special_names)
     if len(set(names)) != len(names):
@@ -417,7 +416,12 @@ def compare_fertility(a: FertilityReport, b: FertilityReport) -> float:
         )
     if b.tokens_per_doc <= 0:
         raise ValueError("baseline tokens_per_doc must be positive")
-    return (b.tokens_per_doc - a.tokens_per_doc) / b.tokens_per_doc * 100.0
+    return improvement_pct(a.tokens_per_doc, b.tokens_per_doc)
+
+
+def improvement_pct(value: float, baseline: float) -> float:
+    """Percent by which ``value`` is below a positive ``baseline``."""
+    return (baseline - value) / baseline * 100.0
 
 
 def serialize_model(model: TokenizerModel) -> bytes:

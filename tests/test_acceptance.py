@@ -80,8 +80,8 @@ def test_criterion_01_fertility_gain():
         balanced = {lang: 0.1 for lang in LANGUAGES}
         docs_a = synth.documents(dominant, 50_000_000, seed=101, source="corpus_a")
         docs_b = synth.documents(balanced, 50_000_000, seed=202, source="corpus_b")
-        model_a = tokenizer.train_bpe(docs_a, 32_000, seed=0)
-        model_b = tokenizer.train_bpe(docs_b, 32_000, seed=0)
+        model_a = tokenizer.train_bpe(docs_a, 32_000)
+        model_b = tokenizer.train_bpe(docs_b, 32_000)
         held_out = synth.documents({"ind": 1.0}, 2_000_000, seed=999, source="held_out")
         report_a = tokenizer.fertility(model_a, held_out)[0]
         report_b = tokenizer.fertility(model_b, held_out)[0]

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from langadapt import corpus, tokenizer, vocab_adapt
+from langadapt import corpus, metrics, tokenizer, vocab_adapt
 from langadapt.cli import main
 from langadapt.corpus import CorpusDocument
 
@@ -348,6 +348,16 @@ class TestBuildCollection:
         assert manifest["per_source"] == {"identity": 2500, "safety": 2000, "poems": 60}
         assert manifest["written_per_phase"]["phase2"] == 4560
 
+    @pytest.mark.parametrize("name", ["build.json", "templates.json", "plan.json"])
+    def test_malformed_json_names_file(self, tmp_path, capsys, name):
+        cfg = collection_fixture(tmp_path, n_records=5, factor=1)
+        (tmp_path / name).write_text('{"a": ,}', encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("build-collection", "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / name}: invalid JSON: Expecting value: line 1" in err
+        assert not (out / "manifest.json").exists()
+
     def test_default_plan_factors(self):
         from langadapt.collection import default_human_centric_plan
 
@@ -415,6 +425,39 @@ class TestScore:
         out = tmp_path / "out"
         assert run("score", "--config", cfg, "--out", out) == 1
         assert "line 2" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_options_reach_the_metric(self, tmp_path):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            json.dumps({"id": "1", "hypothesis": "kucing makan", "references": ["kucing tidur"]})
+            + "\n",
+            encoding="utf-8",
+        )
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"metric": "chrf_pp", "predictions": str(preds), "char_order": "3", "beta": 1},
+        )
+        out = tmp_path / "out"
+        assert run("score", "--config", cfg, "--out", out) == 0
+        payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        expected = metrics.chrf_pp(metrics.read_prediction_pairs(preds), char_order=3, beta=1.0)
+        assert payload["aggregate"] == expected.aggregate
+        assert payload["aggregate"] != metrics.chrf_pp(metrics.read_prediction_pairs(preds)).aggregate
+
+    def test_option_of_another_metric_rejected(self, tmp_path, capsys):
+        preds = tmp_path / "labels.jsonl"
+        preds.write_text(
+            json.dumps({"id": "1", "predicted_label": "A", "gold_label": "A"}) + "\n",
+            encoding="utf-8",
+        )
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"metric": "weighted_f1", "predictions": str(preds), "beta": 2.0},
+        )
+        out = tmp_path / "out"
+        assert run("score", "--config", cfg, "--out", out) == 1
+        assert "beta" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
     def test_unknown_metric(self, tmp_path, capsys):

@@ -205,6 +205,12 @@ class TestMc1Accuracy:
         with pytest.raises(ValueError, match="gold_index"):
             MC1Item("1", (0.1, 0.2), 2)
 
+    def test_non_finite_names_id(self):
+        for bad in (float("nan"), float("inf")):
+            items = [MC1Item("ok", (0.1, 0.9), 1), MC1Item("bad", (bad, 1.0), 1)]
+            with pytest.raises(ValueError, match="bad"):
+                mc1_accuracy(items)
+
     def test_monotone_transform_invariance(self):
         rng = random.Random(43)
         items = [
@@ -320,6 +326,41 @@ class TestPermutationInvariance:
             assert mc1_accuracy(items).aggregate == baselines[5]
 
 
+READER_RECORDS = {
+    "read_prediction_pairs": {"id": "1", "hypothesis": "a", "references": ["a"]},
+    "read_labeled_pairs": {"id": "1", "predicted_label": "A", "gold_label": "B"},
+    "read_likelihood_pairs": {"id": "1", "benign_score": -1.0, "harmful_score": -2.0},
+    "read_mc1_items": {"id": "1", "option_scores": [0.1, 0.9], "gold_index": 1},
+}
+
+
+def malformed_records():
+    """A record each reader must reject after a valid one, and a message fragment."""
+    cases = []
+    for reader, valid in READER_RECORDS.items():
+        other = dict(valid, id="2")
+        last = list(valid)[-1]
+        cases += [
+            (reader, "non-object", ["a"], "must be an object"),
+            (reader, "missing-id", {k: v for k, v in other.items() if k != "id"}, "no 'id'"),
+            (reader, "duplicate-id", valid, "duplicate id"),
+            (reader, "missing-field", {k: v for k, v in other.items() if k != last}, repr(last)),
+        ]
+    for reader, case, change, message in (
+        ("read_prediction_pairs", "non-list", {"references": "a"}, "must be a list"),
+        ("read_mc1_items", "non-list", {"option_scores": 0.5}, "must be a list"),
+        ("read_likelihood_pairs", "non-numeric", {"benign_score": "x"}, "float"),
+        ("read_likelihood_pairs", "null-score", {"harmful_score": None}, "float"),
+        ("read_mc1_items", "non-numeric", {"option_scores": ["x", 0.1]}, "float"),
+        ("read_mc1_items", "list-index", {"gold_index": [1]}, "int"),
+    ):
+        cases.append((reader, case, dict(READER_RECORDS[reader], id="2", **change), message))
+    return [
+        pytest.param(reader, record, message, id=f"{reader}-{case}")
+        for reader, case, record, message in cases
+    ]
+
+
 class TestReaders:
     def test_prediction_reader(self, tmp_path):
         path = tmp_path / "preds.jsonl"
@@ -342,6 +383,16 @@ class TestReaders:
         path.write_text(line + "\n" + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="duplicate"):
             metrics.read_labeled_pairs(path)
+
+    @pytest.mark.parametrize("reader, record, message", malformed_records())
+    def test_malformed_record_names_line(self, tmp_path, reader, record, message):
+        # The blank first line checks that file lines are counted, not records.
+        path = tmp_path / "input.jsonl"
+        lines = ["", json.dumps(READER_RECORDS[reader]), json.dumps(record)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3: ") as caught:
+            getattr(metrics, reader)(path)
+        assert message in str(caught.value)
 
     def test_report_json_shape(self):
         report = weighted_f1([LabeledPair("1", "A", "A")])
