@@ -134,6 +134,24 @@ def _parse_json_line(path, lineno: int, line: str) -> dict | None:
     return record
 
 
+def _read_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, line)`` for each line of a UTF-8 file, 1-based.
+
+    Lines end at ``"\n"`` only, so a bare ``"\r"`` stays inside its line. A
+    line that is not valid UTF-8 raises :class:`IngestError` naming the file,
+    the line and the byte offset within it.
+    """
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise IngestError(
+                    f"{path}: line {lineno}: invalid UTF-8 at byte {exc.start}: {exc.reason}"
+                ) from exc
+            yield lineno, line
+
+
 def _load_json(path, error: type[ValueError]):
     """Load a whole JSON file; a syntax error raises ``error`` naming the file."""
     with open(path, encoding="utf-8") as handle:
@@ -165,40 +183,40 @@ def ingest(
     Text is NFC-normalized and trimmed; lines that are empty after trimming
     are skipped and counted in ``stats``. JSON lines must be objects with a
     ``"text"`` field; a missing ``"id"`` defaults to the 0-based line number
-    as a decimal string (plain lines are numbered the same way). Malformed
-    records raise :class:`IngestError` naming the 1-based line.
+    as a decimal string (plain lines are numbered the same way). Lines end
+    at ``"\n"`` only. Invalid UTF-8 and malformed records raise
+    :class:`IngestError` naming the 1-based line.
     """
     if format not in _FORMATS:
         raise ValueError(f"unknown corpus format {format!r}; expected one of {_FORMATS}")
     if stats is None:
         stats = IngestStats()
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle):
-            stats.lines_read += 1
-            if format == PLAIN_LINES:
-                doc_id = str(lineno)
-                text = line
-            else:
-                record = _parse_json_line(path, lineno + 1, line)
-                if record is None:
-                    stats.skipped_empty += 1
-                    continue
-                text = record.get("text")
-                if not isinstance(text, str):
-                    raise IngestError(f"{path}: line {lineno + 1}: record has no string 'text'")
-                doc_id = str(record["id"]) if "id" in record else str(lineno)
-            text = unicodedata.normalize("NFC", text).strip()
-            if not text:
+    for lineno, line in _read_lines(path):
+        stats.lines_read += 1
+        if format == PLAIN_LINES:
+            doc_id = str(lineno - 1)
+            text = line
+        else:
+            record = _parse_json_line(path, lineno, line)
+            if record is None:
                 stats.skipped_empty += 1
                 continue
-            if doc_id in seen:
-                raise IngestError(
-                    f"{path}: duplicate document id {doc_id!r} for source {source!r}"
-                )
-            seen.add(doc_id)
-            stats.documents += 1
-            yield CorpusDocument(id=doc_id, text=text, language=language, source=source)
+            text = record.get("text")
+            if not isinstance(text, str):
+                raise IngestError(f"{path}: line {lineno}: record has no string 'text'")
+            doc_id = str(record["id"]) if "id" in record else str(lineno - 1)
+        text = unicodedata.normalize("NFC", text).strip()
+        if not text:
+            stats.skipped_empty += 1
+            continue
+        if doc_id in seen:
+            raise IngestError(
+                f"{path}: duplicate document id {doc_id!r} for source {source!r}"
+            )
+        seen.add(doc_id)
+        stats.documents += 1
+        yield CorpusDocument(id=doc_id, text=text, language=language, source=source)
 
 
 def read_task_records(
@@ -215,35 +233,34 @@ def read_task_records(
     unique within the file.
     """
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle):
-            record = _parse_json_line(path, lineno + 1, line)
-            if record is None:
-                continue
-            try:
-                fields = record.get("fields", {})
-                if not isinstance(fields, dict):
-                    raise ValueError("'fields' must be an object")
-                lang = record.get("language", language)
-                if lang is None:
-                    raise ValueError("record has no language and no default was given")
-                rec = TaskRecord(
-                    id=str(record["id"]) if "id" in record else str(lineno),
-                    fields={str(k): str(v) for k, v in fields.items()},
-                    label=record.get("label"),
-                    task_type=TaskType(record.get("task_type", "")),
-                    language=lang,
-                    source=str(record.get("source", source)),
-                )
-            except ValueError as exc:
-                raise IngestError(f"{path}: line {lineno + 1}: {exc}") from exc
-            key = (rec.source, rec.id)
-            if key in seen:
-                raise IngestError(
-                    f"{path}: duplicate record id {rec.id!r} for source {rec.source!r}"
-                )
-            seen.add(key)
-            yield rec
+    for lineno, line in _read_lines(path):
+        record = _parse_json_line(path, lineno, line)
+        if record is None:
+            continue
+        try:
+            fields = record.get("fields", {})
+            if not isinstance(fields, dict):
+                raise ValueError("'fields' must be an object")
+            lang = record.get("language", language)
+            if lang is None:
+                raise ValueError("record has no language and no default was given")
+            rec = TaskRecord(
+                id=str(record["id"]) if "id" in record else str(lineno - 1),
+                fields={str(k): str(v) for k, v in fields.items()},
+                label=record.get("label"),
+                task_type=TaskType(record.get("task_type", "")),
+                language=lang,
+                source=str(record.get("source", source)),
+            )
+        except ValueError as exc:
+            raise IngestError(f"{path}: line {lineno}: {exc}") from exc
+        key = (rec.source, rec.id)
+        if key in seen:
+            raise IngestError(
+                f"{path}: duplicate record id {rec.id!r} for source {rec.source!r}"
+            )
+        seen.add(key)
+        yield rec
 
 
 @dataclass(frozen=True)

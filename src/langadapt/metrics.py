@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import IngestError, _parse_json_line, normalize
+from .corpus import IngestError, _parse_json_line, _read_lines, normalize
 
 __all__ = [
     "LabeledPair",
@@ -435,21 +435,20 @@ def _read_jsonl(path, make) -> list:
     """
     examples = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            record = _parse_json_line(path, lineno, line)
-            if record is None:
-                continue
-            if "id" not in record:
-                raise IngestError(f"{path}: line {lineno}: record has no 'id'")
-            record_id = str(record["id"])
-            if record_id in seen:
-                raise IngestError(f"{path}: line {lineno}: duplicate id {record_id!r}")
-            seen.add(record_id)
-            try:
-                examples.append(make(record_id, record))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise IngestError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, line in _read_lines(path):
+        record = _parse_json_line(path, lineno, line)
+        if record is None:
+            continue
+        if "id" not in record:
+            raise IngestError(f"{path}: line {lineno}: record has no 'id'")
+        record_id = str(record["id"])
+        if record_id in seen:
+            raise IngestError(f"{path}: line {lineno}: duplicate id {record_id!r}")
+        seen.add(record_id)
+        try:
+            examples.append(make(record_id, record))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IngestError(f"{path}: line {lineno}: {exc}") from exc
     return examples
 
 

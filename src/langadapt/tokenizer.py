@@ -7,6 +7,12 @@ deterministic on any platform and independent of thread count. Merges never
 cross an ASCII whitespace byte, which keeps learned pieces word-internal and
 stabilizes fertility numbers.
 
+Training counts each distinct word once and keeps exact pair counts up to
+date incrementally (Sennrich et al., 2016): a merge rewrites only the words
+that contain its pair, and at each merge site adjusts only the two
+neighbouring pairs. A lazy max-heap of pair counts picks the next merge. The
+merges equal those of a full recount after every step.
+
 Token ids are laid out as: special placeholders first, then the 256 single
 bytes, then one piece per learned merge. Because the base alphabet is the
 full byte range, every input is encodable and ``decode(encode(x)) == x``.
@@ -51,7 +57,6 @@ REQUIRED_SPECIALS = ("pad", "eos", "unk")
 # Merges must not cross these bytes; runs of them encode as single-byte tokens.
 _WS = b" \t\n\r\x0b\x0c"
 _WS_SET = frozenset(_WS)
-_WORD_RE = re.compile(rb"[^ \t\n\r\x0b\x0c]+")
 _SEG_RE = re.compile(rb"[ \t\n\r\x0b\x0c]+|[^ \t\n\r\x0b\x0c]+")
 
 _MIN_PAIR_FREQ = 2
@@ -135,7 +140,7 @@ def train_bpe(
     saw_docs = False
     for doc in docs:
         saw_docs = True
-        word_counts.update(_WORD_RE.findall(doc.text.encode("utf-8")))
+        word_counts.update(doc.text.encode("utf-8").split())
     if not saw_docs or not word_counts:
         raise ValueError("training corpus is empty")
     pieces = [f"<{name}>".encode("utf-8") for name in names]
@@ -150,21 +155,19 @@ def train_bpe(
     return model
 
 
-def _merge_word(ids: list[int], left: int, right: int, new_id: int) -> list[int] | None:
-    """Replace (left, right) occurrences left-to-right; None if none found."""
+def _merge_word(ids: list[int], left: int, right: int, new_id: int) -> list[int]:
+    """Replace (left, right) occurrences left to right with ``new_id``."""
     n = len(ids)
     out: list[int] = []
     i = 0
-    matched = False
     while i < n:
         if ids[i] == left and i + 1 < n and ids[i + 1] == right:
             out.append(new_id)
             i += 2
-            matched = True
         else:
             out.append(ids[i])
             i += 1
-    return out if matched else None
+    return out
 
 
 def _learn_merges(
@@ -173,10 +176,15 @@ def _learn_merges(
     vocab_size: int,
     byte_offset: int,
 ) -> list[tuple[int, int]]:
-    # Incremental pair bookkeeping: a lazy max-heap of (-count, left, right)
-    # entries plus exact pair counts. Stale heap entries are discarded when
-    # popped, so the first entry matching its current count is the true
-    # maximum under the (count, lowest left, lowest right) order.
+    # Incremental pair bookkeeping: exact pair counts, the words each pair
+    # may occur in, and a lazy max-heap of (-count, left, right) entries.
+    # Every live pair keeps at least one entry whose key is >= its count:
+    # after each merge, every pair whose count rose (all of them contain the
+    # new id) gets one entry at its new count, and a count that falls stays
+    # below an entry already queued. A popped entry above its pair's count is
+    # re-queued at the count; one below it is dropped, because a newer entry
+    # holds the larger count. So the first popped entry equal to its count is
+    # the true maximum under the (count, lowest left, lowest right) order.
     words: list[list[int]] = []
     freqs: list[int] = []
     pair_counts: dict[tuple[int, int], int] = {}
@@ -209,7 +217,10 @@ def _learn_merges(
         neg_count, left, right = heapq.heappop(heap)
         pair = (left, right)
         count = pair_counts.get(pair)
-        if count is None or count != -neg_count:
+        if count is None or count > -neg_count:
+            continue
+        if count < -neg_count:
+            heapq.heappush(heap, (-count, left, right))
             continue
         if count < _MIN_PAIR_FREQ:
             break
@@ -225,33 +236,52 @@ def _learn_merges(
         pieces.append(merged)
         existing.add(merged)
         merges.append(pair)
-        affected = pair_words.pop(pair)
         del pair_counts[pair]
-        for widx in affected:
+        risen: set[tuple[int, int]] = set()
+        for widx in pair_words.pop(pair):
             ids = words[widx]
-            rewritten = _merge_word(ids, left, right, new_id)
-            if rewritten is None:
-                continue  # stale membership from an earlier rewrite
-            freq = freqs[widx]
-            words[widx] = rewritten
-            old_pairs = Counter(zip(ids, ids[1:]))
-            new_pairs = Counter(zip(rewritten, rewritten[1:]))
-            touched = set(old_pairs)
-            touched.update(new_pairs)
-            for p in touched:
-                if p == pair:
+            n = len(ids)
+            # One left-to-right pass rewrites the word and records how each
+            # merge site changes its neighbour pairs. The previous symbol is
+            # taken from the rewritten output, so adjacent sites come out
+            # exact: in "aaaa" merging (a, a) the second site turns the
+            # (new, a) gained at the first into (new, new).
+            deltas: dict[tuple[int, int], int] = {}
+            out: list[int] = []
+            i = 0
+            while i < n:
+                cur = ids[i]
+                if cur != left or i + 1 == n or ids[i + 1] != right:
+                    out.append(cur)
+                    i += 1
                     continue
-                delta = new_pairs.get(p, 0) - old_pairs.get(p, 0)
-                if delta == 0:
+                if out:
+                    p = out[-1]
+                    deltas[(p, left)] = deltas.get((p, left), 0) - 1
+                    deltas[(p, new_id)] = deltas.get((p, new_id), 0) + 1
+                if i + 2 < n:
+                    q = ids[i + 2]
+                    deltas[(right, q)] = deltas.get((right, q), 0) - 1
+                    deltas[(new_id, q)] = deltas.get((new_id, q), 0) + 1
+                out.append(new_id)
+                i += 2
+            if len(out) == n:
+                continue  # stale membership from an earlier rewrite
+            words[widx] = out
+            freq = freqs[widx]
+            for p, delta in deltas.items():
+                if delta == 0 or p == pair:
                     continue
                 updated = pair_counts.get(p, 0) + delta * freq
-                if updated <= 0:
-                    pair_counts.pop(p, None)
+                if updated == 0:
+                    del pair_counts[p]
                     continue
                 pair_counts[p] = updated
-                heapq.heappush(heap, (-updated, p[0], p[1]))
                 if delta > 0:
+                    risen.add(p)
                     pair_words.setdefault(p, set()).add(widx)
+        for p in risen:
+            heapq.heappush(heap, (-pair_counts[p], p[0], p[1]))
     return merges
 
 
@@ -297,7 +327,7 @@ class _Encoder:
             if best is None:
                 break
             _, new_id, left, right = best
-            ids = _merge_word(ids, left, right, new_id) or ids
+            ids = _merge_word(ids, left, right, new_id)
         if len(self._cache) >= _WORD_CACHE_LIMIT:
             self._cache.clear()
         self._cache[word] = ids

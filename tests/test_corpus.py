@@ -70,6 +70,25 @@ class TestIngestPlainLines:
         second = list(corpus.ingest(path, language="ind", source="demo"))
         assert first == second
 
+    def test_bare_carriage_return_stays_in_document(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"line one\rstill one\n")
+        docs = list(corpus.ingest(path, language="ind", source="demo"))
+        assert [d.text for d in docs] == ["line one\rstill one"]
+
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"satu\r\ndua\r\n")
+        docs = list(corpus.ingest(path, language="ind", source="demo"))
+        assert [(d.id, d.text) for d in docs] == [("0", "satu"), ("1", "dua")]
+
+    @pytest.mark.parametrize("format", ["plain_lines", "json_lines"])
+    def test_invalid_utf8_names_line(self, tmp_path, format):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b'{"text": "a"}\n{"text": "b\xff"}\n')
+        with pytest.raises(IngestError, match=r"corpus\.txt: line 2: invalid UTF-8 at byte 11"):
+            list(corpus.ingest(path, format, language="ind", source="demo"))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError) as excinfo:
             list(corpus.ingest(tmp_path / "nope.txt", language="ind", source="demo"))
@@ -184,6 +203,13 @@ class TestTaskRecord:
         assert [r.id for r in records] == ["0", "t1"]
         assert records[0].task_type is TaskType.CLASSIFICATION
         assert records[1].fields["tgt"] == "hello"
+
+    def test_read_task_records_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        line = json.dumps({"fields": {"text": "x"}, "label": "pos", "task_type": "classification"})
+        path.write_bytes(line.encode() + b"\n\n\xff\n")
+        with pytest.raises(IngestError, match=r"records\.jsonl: line 3: invalid UTF-8"):
+            list(corpus.read_task_records(path, language="ind", source="demo"))
 
     def test_read_task_records_bad_line(self, tmp_path):
         path = tmp_path / "records.jsonl"

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from langadapt import metrics
+from langadapt.corpus import IngestError
 from langadapt.metrics import (
     LabeledPair,
     LikelihoodPair,
@@ -375,6 +376,15 @@ class TestReaders:
         path = tmp_path / "preds.jsonl"
         path.write_text('{"id": "1", "hypothesis": "a", "references": ["a"]}\n{oops\n', encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
+            metrics.read_prediction_pairs(path)
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes(
+            b'{"id": "1", "hypothesis": "a", "references": ["a"]}\n'
+            b'{"id": "2", "hypothesis": "\xff", "references": ["a"]}\n'
+        )
+        with pytest.raises(IngestError, match=r"preds\.jsonl: line 2: invalid UTF-8 at byte 27"):
             metrics.read_prediction_pairs(path)
 
     def test_duplicate_id_rejected(self, tmp_path):

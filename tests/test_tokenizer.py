@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from langadapt import tokenizer
 from langadapt.corpus import CorpusDocument
@@ -30,6 +30,15 @@ def byte_id(model, char):
     return model.byte_offset + ord(char)
 
 
+@st.composite
+def tiny_alphabet_corpora(draw):
+    """A few documents of long single-character runs over a 2-3 symbol alphabet."""
+    alphabet = draw(st.sampled_from(["ab", "aab ", "aaaa b"]))
+    run = st.builds(lambda ch, n: ch * n, st.sampled_from(alphabet), st.integers(1, 12))
+    doc = st.lists(run, min_size=1, max_size=12).map("".join)
+    return draw(st.lists(doc, min_size=1, max_size=4))
+
+
 class TestTrainBpe:
     def test_single_possible_merge(self):
         model = tokenizer.train_bpe(docs_from(["aaaa"]), 256 + 3 + 1)
@@ -49,6 +58,25 @@ class TestTrainBpe:
         model = tokenizer.train_bpe(docs_from(texts), vocab_size)
         assert list(model.pieces) == expected_pieces
         assert list(model.merges) == expected_merges
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=tiny_alphabet_corpora(), vocab_size=st.integers(260, 300))
+    def test_matches_naive_oracle_on_tiny_alphabets(self, texts, vocab_size):
+        # Long runs of one symbol put merge sites next to each other, where
+        # the neighbour-pair updates of one site depend on the previous one.
+        assume(any(text.split() for text in texts))
+        expected_pieces, expected_merges = naive_train_bpe(texts, vocab_size)
+        model = tokenizer.train_bpe(docs_from(texts), vocab_size)
+        assert list(model.pieces) == expected_pieces
+        assert list(model.merges) == expected_merges
+
+    def test_adjacent_merge_sites_match_naive_oracle(self):
+        texts = ["aaaaaaa aaaa aaa"]
+        expected_pieces, expected_merges = naive_train_bpe(texts, 280)
+        model = tokenizer.train_bpe(docs_from(texts), 280)
+        assert list(model.pieces) == expected_pieces
+        assert list(model.merges) == expected_merges
+        assert model.pieces[model.byte_offset + 256 :] == (b"aa", b"aaaa", b"aaa")
 
     def test_merges_never_cross_whitespace(self):
         model = tokenizer.train_bpe(docs_from(["ab ab ab ab"]), 256 + 3 + 6)
