@@ -83,23 +83,24 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _corpus_files(config: dict) -> list[dict]:
-    """Normalize the 'corpus' entry to per-file dicts with defaults applied."""
-    entries = _require(config, "corpus")
+def _input_files(config: dict, key: str) -> list[dict]:
+    """Normalize a ``path | [path | {path, ...}]`` entry to per-file dicts with defaults."""
+    entries = _require(config, key)
     if isinstance(entries, (str, Path)):
         entries = [entries]
     files = []
     for entry in entries:
         if isinstance(entry, (str, Path)):
-            entry = {"path": str(entry)}
+            entry = {"path": entry}
+        if not isinstance(entry, dict) or "path" not in entry:
+            raise ConfigError(f"{key} entry {entry!r} has no 'path'")
+        path = str(entry["path"])
         resolved = {
-            "path": str(entry["path"]),
+            "path": path,
             "format": entry.get("format", config.get("format", corpus.PLAIN_LINES)),
             "language": entry.get("language", config.get("language")),
-            "source": entry.get("source", config.get("source", Path(entry["path"]).stem)),
+            "source": entry.get("source", config.get("source", Path(path).stem)),
         }
-        if resolved["language"] is None:
-            raise ConfigError(f"no language given for corpus file {resolved['path']}")
         files.append(resolved)
     return files
 
@@ -120,6 +121,10 @@ def _ingest_all(files: list[dict]):
             seen.add(key)
             yield doc
 
+    for entry in files:
+        # Task records may carry their own language; corpus documents cannot.
+        if entry["language"] is None:
+            raise ConfigError(f"no language given for corpus file {entry['path']}")
     streams = [
         checked(
             corpus.ingest(
@@ -173,7 +178,7 @@ def _write_manifest(out: _Outputs, command: str, config: dict, inputs: list) -> 
 def _cmd_tokenizer_train(config: dict, out: _Outputs) -> list:
     vocab_size = int(_require(config, "vocab_size"))
     specials = config.get("special_tokens", list(tokenizer.REQUIRED_SPECIALS))
-    files = _corpus_files(config)
+    files = _input_files(config, "corpus")
     model = tokenizer.train_bpe(_ingest_all(files), vocab_size, specials)
     tokenizer.save_model(model, out.path("tokenizer.json"))
     return [entry["path"] for entry in files]
@@ -184,7 +189,7 @@ def _cmd_fertility(config: dict, out: _Outputs) -> list:
     path_b = _require(config, "model_b")
     model_a = tokenizer.load_model(path_a)
     model_b = tokenizer.load_model(path_b)
-    files = _corpus_files(config)
+    files = _input_files(config, "corpus")
     docs = list(_ingest_all(files))
     reports_a = {r.language: r for r in tokenizer.fertility(model_a, docs)}
     reports_b = {r.language: r for r in tokenizer.fertility(model_b, docs)}
@@ -224,25 +229,16 @@ def _cmd_adapt(config: dict, out: _Outputs) -> list:
 def _cmd_build_collection(config: dict, out: _Outputs) -> list:
     templates_path = _require(config, "templates")
     plan_path = _require(config, "plan")
-    record_entries = _require(config, "records")
-    if isinstance(record_entries, (str, Path)):
-        record_entries = [record_entries]
+    record_files = _input_files(config, "records")
     registry = collection.TemplateRegistry.from_json_file(templates_path)
     plan = collection.SamplingPlan.from_json_file(plan_path)
-    record_paths = []
-    records = []
-    for entry in record_entries:
-        if isinstance(entry, (str, Path)):
-            entry = {"path": str(entry)}
-        path = str(entry["path"])
-        record_paths.append(path)
-        records.extend(
-            corpus.read_task_records(
-                path,
-                language=entry.get("language", config.get("language")),
-                source=entry.get("source", Path(path).stem),
-            )
+    records = [
+        record
+        for entry in record_files
+        for record in corpus.read_task_records(
+            entry["path"], language=entry["language"], source=entry["source"]
         )
+    ]
     instances, manifest = collection.build_collection(registry, records, plan)
     phase1, phase2 = collection.split_phases(instances)
     targets = plan.target_totals or {}
@@ -257,7 +253,7 @@ def _cmd_build_collection(config: dict, out: _Outputs) -> list:
     payload = manifest.to_json_dict()
     payload["written_per_phase"] = written
     out.write_json("collection_manifest.json", payload)
-    return [templates_path, plan_path] + record_paths
+    return [templates_path, plan_path] + [entry["path"] for entry in record_files]
 
 
 def _cmd_score(config: dict, out: _Outputs) -> list:

@@ -59,6 +59,7 @@ PHASE1_TASK_TYPES = frozenset(
 )
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+_TEMPLATE_KEYS = ("id", "task_type", "input_pattern", "target_pattern", "language")
 
 
 class RenderError(ValueError):
@@ -67,6 +68,12 @@ class RenderError(ValueError):
 
 class PlanError(ValueError):
     """A plan or template file is not valid JSON, or records do not fit them."""
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
 
 
 @dataclass(frozen=True)
@@ -80,8 +87,10 @@ class PromptTemplate:
     language: str
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("template id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError("template id must be a non-empty string")
+        if not isinstance(self.input_pattern, str) or not isinstance(self.target_pattern, str):
+            raise ValueError(f"template {self.id!r}: patterns must be strings")
         object.__setattr__(self, "task_type", TaskType(self.task_type))
         _check_language(self.language)
 
@@ -161,21 +170,19 @@ class TemplateRegistry:
 
     @classmethod
     def from_json_file(cls, path) -> "TemplateRegistry":
-        """Load a JSON array of template objects."""
+        """Load a JSON array of template objects; a bad entry's error names its index."""
         entries = _load_json(path, PlanError)
         if not isinstance(entries, list):
-            raise ValueError(f"{path}: template file must contain a JSON array")
+            raise PlanError(f"{path}: template file must contain a JSON array")
         registry = cls()
-        for entry in entries:
-            registry.add(
-                PromptTemplate(
-                    id=entry["id"],
-                    task_type=TaskType(entry["task_type"]),
-                    input_pattern=entry["input_pattern"],
-                    target_pattern=entry["target_pattern"],
-                    language=entry["language"],
-                )
-            )
+        for index, entry in enumerate(entries):
+            try:
+                entry = _json_object(entry, "template")
+                registry.add(PromptTemplate(**{key: entry[key] for key in _TEMPLATE_KEYS}))
+            except KeyError as exc:
+                raise PlanError(f"{path}: template {index}: missing key {exc}") from exc
+            except ValueError as exc:
+                raise PlanError(f"{path}: template {index}: {exc}") from exc
         return registry
 
 
@@ -293,25 +300,31 @@ class SamplingPlan:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SamplingPlan":
-        per_source = {
-            str(source): SourcePlan(
-                upsample_factor=int(entry.get("upsample_factor", 1)),
-                cap=(int(entry["cap"]) if entry.get("cap") is not None else None),
-                phase=Phase(entry.get("phase", "phase1")),
-            )
-            for source, entry in payload.get("per_source", {}).items()
-        }
+        """Build a plan from its JSON form; a malformed entry raises ``ValueError``."""
+        per_source = {}
+        for source, entry in _json_object(payload.get("per_source", {}), "per_source").items():
+            entry = _json_object(entry, f"per_source[{source!r}]")
+            try:
+                per_source[source] = SourcePlan(
+                    upsample_factor=int(entry.get("upsample_factor", 1)),
+                    cap=(int(entry["cap"]) if entry.get("cap") is not None else None),
+                    phase=Phase(entry.get("phase", "phase1")),
+                )
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"per_source[{source!r}]: {exc}") from exc
         totals = payload.get("target_totals")
         if totals is not None:
-            totals = {str(k): int(v) for k, v in totals.items()}
+            totals = {k: int(v) for k, v in _json_object(totals, "target_totals").items()}
         return cls(per_source=per_source, target_totals=totals, seed=int(payload.get("seed", 0)))
 
     @classmethod
     def from_json_file(cls, path) -> "SamplingPlan":
+        """Load a plan file; any malformed entry raises :class:`PlanError` naming it."""
         payload = _load_json(path, PlanError)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: sampling plan must be a JSON object")
-        return cls.from_dict(payload)
+        try:
+            return cls.from_dict(_json_object(payload, "sampling plan"))
+        except (TypeError, ValueError) as exc:
+            raise PlanError(f"{path}: {exc}") from exc
 
     def to_json_dict(self) -> dict:
         return {

@@ -51,7 +51,8 @@ class IngestError(ValueError):
 
 
 def _check_language(code: str) -> None:
-    if len(code) != 3 or not code.isascii() or not code.isalpha() or not code.islower():
+    ascii3 = isinstance(code, str) and len(code) == 3 and code.isascii()
+    if not ascii3 or not code.isalpha() or not code.islower():
         raise ValueError(f"language must be a lowercase 3-letter code, got {code!r}")
 
 
@@ -98,6 +99,8 @@ class TaskRecord:
         for key, value in self.fields.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise ValueError(f"record {self.id!r}: slots must map str to str")
+        if self.label is not None and not isinstance(self.label, str):
+            raise ValueError(f"record {self.id!r}: label must be a string or null")
         if self.task_type is TaskType.CLASSIFICATION and not self.label:
             raise ValueError(f"classification record {self.id!r} has no label")
         if self.task_type is TaskType.TRANSLATION:
@@ -153,12 +156,15 @@ def _read_lines(path) -> Iterator[tuple[int, str]]:
 
 
 def _load_json(path, error: type[ValueError]):
-    """Load a whole JSON file; a syntax error raises ``error`` naming the file."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise error(f"{path}: invalid JSON: {exc}") from exc
+    """Load a whole JSON file; bad UTF-8 or syntax raises ``error`` naming the file."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: invalid UTF-8 at byte {exc.start}: {exc.reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
 @dataclass
@@ -229,8 +235,9 @@ def read_task_records(
 
     Each line is an object with a ``"fields"`` mapping and a ``"task_type"``;
     ``"id"``, ``"label"`` and ``"language"`` are optional (a record-level
-    language overrides the default passed here). (source, id) pairs must be
-    unique within the file.
+    language overrides the default passed here). Slot values are kept as
+    given and must be strings; a label must be a string or null. (source, id)
+    pairs must be unique within the file.
     """
     seen: set[tuple[str, str]] = set()
     for lineno, line in _read_lines(path):
@@ -246,7 +253,7 @@ def read_task_records(
                 raise ValueError("record has no language and no default was given")
             rec = TaskRecord(
                 id=str(record["id"]) if "id" in record else str(lineno - 1),
-                fields={str(k): str(v) for k, v in fields.items()},
+                fields=fields,
                 label=record.get("label"),
                 task_type=TaskType(record.get("task_type", "")),
                 language=lang,

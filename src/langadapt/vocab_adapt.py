@@ -5,13 +5,18 @@ Any other piece is re-encoded with the old tokenizer and initialized to the
 arithmetic mean of the resulting rows, accumulated in 64-bit in subtoken
 order and stored as 32-bit. Pieces that encode to nothing fall back to the
 global mean row, as do special tokens whose names the old model lacks.
+
+The old matrix is held once, as the float32 array read from its file;
+float64 appears only in the accumulator of one averaged row and of the
+global mean, never as a copy of the whole matrix.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -89,54 +94,47 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
     32 hex bytes of vocab hash, then rows*dims float32 row-major.
     """
     matrix.validate()
-    blob = b"".join(
-        (
-            _HEADER.pack(_MAGIC, matrix.rows, matrix.dims),
-            matrix.vocab_hash.encode("ascii"),
-            np.ascontiguousarray(matrix.data, dtype="<f4").tobytes(),
-        )
-    )
-    Path(path).write_bytes(blob)
+    with open(path, "wb") as handle:
+        handle.write(_HEADER.pack(_MAGIC, matrix.rows, matrix.dims))
+        handle.write(matrix.vocab_hash.encode("ascii"))
+        handle.write(np.ascontiguousarray(matrix.data, dtype="<f4").data)
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
-    blob = Path(path).read_bytes()
-    if len(blob) < 4:
-        raise EmbeddingFormatError(
-            f"{path}: truncated at byte offset {len(blob)}: missing magic"
-        )
-    if blob[:4] != _MAGIC:
-        raise EmbeddingFormatError(f"{path}: bad magic at byte offset 0")
-    if len(blob) < _HEADER.size:
-        raise EmbeddingFormatError(
-            f"{path}: truncated at byte offset {len(blob)}: incomplete header"
-        )
-    _, rows, dims = _HEADER.unpack_from(blob)
-    if rows == 0:
-        raise EmbeddingFormatError(f"{path}: rows=0 at byte offset 4")
-    if dims == 0:
-        raise EmbeddingFormatError(f"{path}: dims=0 at byte offset 8")
-    hash_end = _HEADER.size + _HASH_LEN
-    if len(blob) < hash_end:
-        raise EmbeddingFormatError(
-            f"{path}: truncated at byte offset {len(blob)}: incomplete vocab hash"
-        )
-    vocab_hash = blob[_HEADER.size : hash_end].decode("ascii", errors="replace")
-    try:
-        _check_hash(vocab_hash)
-    except ValueError as exc:
-        raise EmbeddingFormatError(f"{path}: at byte offset {_HEADER.size}: {exc}") from exc
-    expected = hash_end + rows * dims * 4
-    if len(blob) != expected:
-        raise EmbeddingFormatError(
-            f"{path}: length mismatch at byte offset {min(len(blob), expected)}: "
-            f"expected {expected} bytes, got {len(blob)}"
-        )
-    data = (
-        np.frombuffer(blob, dtype="<f4", offset=hash_end, count=rows * dims)
-        .reshape(rows, dims)
-        .astype(np.float32)
-    )
+    """Read the binary embedding format into one writable float32 array."""
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        head = handle.read(_HEADER.size + _HASH_LEN)
+        if size < 4:
+            raise EmbeddingFormatError(f"{path}: truncated at byte offset {size}: missing magic")
+        if head[:4] != _MAGIC:
+            raise EmbeddingFormatError(f"{path}: bad magic at byte offset 0")
+        if size < _HEADER.size:
+            raise EmbeddingFormatError(
+                f"{path}: truncated at byte offset {size}: incomplete header"
+            )
+        _, rows, dims = _HEADER.unpack_from(head)
+        if rows == 0:
+            raise EmbeddingFormatError(f"{path}: rows=0 at byte offset 4")
+        if dims == 0:
+            raise EmbeddingFormatError(f"{path}: dims=0 at byte offset 8")
+        hash_end = _HEADER.size + _HASH_LEN
+        if size < hash_end:
+            raise EmbeddingFormatError(
+                f"{path}: truncated at byte offset {size}: incomplete vocab hash"
+            )
+        vocab_hash = head[_HEADER.size :].decode("ascii", errors="replace")
+        try:
+            _check_hash(vocab_hash)
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"{path}: at byte offset {_HEADER.size}: {exc}") from exc
+        expected = hash_end + rows * dims * 4
+        if size != expected:
+            raise EmbeddingFormatError(
+                f"{path}: length mismatch at byte offset {min(size, expected)}: "
+                f"expected {expected} bytes, got {size}"
+            )
+        data = np.fromfile(handle, dtype="<f4", count=rows * dims).reshape(rows, dims)
     return EmbeddingMatrix(data=data, vocab_hash=vocab_hash)
 
 
@@ -186,73 +184,47 @@ def adapt_embeddings(
             f"embedding rows ({old_emb.rows}) != old vocabulary size "
             f"({old_tok.piece_count})"
         )
-    finite_rows = np.isfinite(old_emb.data).all(axis=1)
-    if not finite_rows.all():
-        bad = int(np.flatnonzero(~finite_rows)[0])
-        raise ValueError(f"non-finite value in old embedding row {bad}")
+    old_emb.validate()
     for offset, model in ((old_tok.byte_offset, old_tok), (new_tok.byte_offset, new_tok)):
         for b in range(256):
             if model.pieces[offset + b] != bytes([b]):
                 raise ValueError("tokenizers do not share the byte-level base alphabet")
 
     old32 = old_emb.data
-    old64 = old32.astype(np.float64)
-    dims = old_emb.dims
     old_index = {piece: i for i, piece in enumerate(old_tok.pieces)}
-    old_special_rows = {name: old32[i] for name, i in old_tok.special_tokens.items()}
-    new_special_ids = set(new_tok.special_tokens.values())
-
-    global_mean: np.ndarray | None = None
-
-    def fallback_row() -> np.ndarray:
-        nonlocal global_mean
-        if global_mean is None:
-            global_mean = (old64.sum(axis=0) / old_emb.rows).astype(np.float32)
-        return global_mean
-
-    new_data = np.empty((new_tok.piece_count, dims), dtype=np.float32)
+    new_special_names = {i: name for name, i in new_tok.special_tokens.items()}
+    new_data = np.empty((new_tok.piece_count, old_emb.dims), dtype=np.float32)
     provenance: dict[int, str] = {}
-    copied = averaged = fallback = 0
-
-    for name, new_id in new_tok.special_tokens.items():
-        row = old_special_rows.get(name)
-        if row is not None:
-            new_data[new_id] = row
-            provenance[new_id] = "copied"
-            copied += 1
-        else:
-            new_data[new_id] = fallback_row()
-            provenance[new_id] = "fallback"
-            fallback += 1
+    fallback_ids: list[int] = []
 
     for new_id, piece in enumerate(new_tok.pieces):
-        if new_id in new_special_ids:
-            continue
-        old_id = old_index.get(piece)
+        subtokens = ()
+        if new_id in new_special_names:
+            old_id = old_tok.special_tokens.get(new_special_names[new_id])
+        else:
+            old_id = old_index.get(piece)
+            if old_id is None:
+                subtokens = encode_bytes(old_tok, piece)
         if old_id is not None:
             new_data[new_id] = old32[old_id]
             provenance[new_id] = "copied"
-            copied += 1
-            continue
-        subtokens = encode_bytes(old_tok, piece)
-        if subtokens:
-            acc = np.zeros(dims, dtype=np.float64)
+        elif subtokens:
+            acc = np.zeros(old_emb.dims, dtype=np.float64)
             for token_id in subtokens:
-                acc += old64[token_id]
-            new_data[new_id] = (acc / len(subtokens)).astype(np.float32)
+                acc += old32[token_id]
+            new_data[new_id] = acc / len(subtokens)
             provenance[new_id] = f"averaged:{len(subtokens)}"
-            averaged += 1
         else:
-            new_data[new_id] = fallback_row()
+            fallback_ids.append(new_id)
             provenance[new_id] = "fallback"
-            fallback += 1
+    if fallback_ids:
+        new_data[fallback_ids] = old32.sum(axis=0, dtype=np.float64) / old_emb.rows
 
-    matrix = EmbeddingMatrix.from_array(new_data, model_hash(new_tok))
+    kinds = Counter(kind.partition(":")[0] for kind in provenance.values())
     report = AdaptationReport(
-        copied=copied,
-        averaged=averaged,
-        fallback=fallback,
+        copied=kinds["copied"],
+        averaged=kinds["averaged"],
+        fallback=kinds["fallback"],
         per_piece_provenance=provenance,
     )
-    assert copied + averaged + fallback == new_tok.piece_count
-    return matrix, report
+    return EmbeddingMatrix.from_array(new_data, model_hash(new_tok)), report

@@ -294,6 +294,20 @@ def collection_fixture(tmp_path, n_records, factor, source="identity"):
     )
 
 
+@pytest.mark.parametrize(
+    "command, key", [("tokenizer-train", "corpus"), ("build-collection", "records")]
+)
+def test_input_entry_without_path_names_key(tmp_path, capsys, command, key):
+    config = {"vocab_size": 300}
+    if command == "build-collection":
+        config = json.loads(collection_fixture(tmp_path, 5, 1).read_text(encoding="utf-8"))
+    config[key] = [{"source": "identity", "language": "ind"}]
+    cfg = write_config(tmp_path / "cfg.json", config)
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert f"error: {key} entry {{'source': 'identity', 'language': 'ind'}} has no 'path'" in err
+
+
 class TestBuildCollection:
     def test_factor_one_preserves_counts(self, tmp_path):
         cfg = collection_fixture(tmp_path, n_records=37, factor=1)
@@ -356,6 +370,45 @@ class TestBuildCollection:
         assert run("build-collection", "--config", cfg, "--out", out) == 1
         err = capsys.readouterr().err
         assert f"error: {tmp_path / name}: invalid JSON: Expecting value: line 1" in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            (
+                "templates.json",
+                lambda t: [{k: v for k, v in t[0].items() if k != "target_pattern"}],
+                "template 0: missing key 'target_pattern'",
+            ),
+            ("templates.json", lambda t: t + ["gen"], "template 1: template must be a JSON object"),
+            ("plan.json", lambda p: dict(p, per_source=[1, 2]), "per_source must be a JSON object"),
+            (
+                "plan.json",
+                lambda p: {"per_source": {"identity": {"upsample_factor": "x"}}},
+                "per_source['identity']: invalid literal for int()",
+            ),
+            (
+                "plan.json",
+                lambda p: {"per_source": {"identity": {"phase": "phase3"}}},
+                "per_source['identity']: 'phase3' is not a valid Phase",
+            ),
+            ("build.json", lambda c: b'{"a": "\xff"}', "invalid UTF-8 at byte 7"),
+            ("templates.json", lambda t: b'[\n"\xc3"]', "invalid UTF-8 at byte 3"),
+            ("plan.json", lambda p: b"\xfe{}", "invalid UTF-8 at byte 0"),
+        ],
+        ids=[
+            "missing-key", "entry-not-object", "per-source-list", "factor-not-int",
+            "unknown-phase", "config-utf8", "templates-utf8", "plan-utf8",
+        ],
+    )
+    def test_malformed_entry_names_file(self, tmp_path, capsys, name, edit, message):
+        cfg = collection_fixture(tmp_path, n_records=5, factor=1)
+        target = tmp_path / name
+        edited = edit(json.loads(target.read_text(encoding="utf-8")))
+        target.write_bytes(edited if isinstance(edited, bytes) else json.dumps(edited).encode())
+        out = tmp_path / "out"
+        assert run("build-collection", "--config", cfg, "--out", out) == 1
+        assert f"error: {target}: {message}" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     def test_default_plan_factors(self):

@@ -216,3 +216,18 @@ class TestTaskRecord:
         write_lines(path, [json.dumps({"fields": {"text": "x"}, "task_type": "classification"})])
         with pytest.raises(IngestError, match="line 1"):
             list(corpus.read_task_records(path, language="ind", source="demo"))
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"fields": {"text": None}, "task_type": "generation"}, "slots must map str to str"),
+            ({"fields": {"text": 7}, "task_type": "generation"}, "slots must map str to str"),
+            ({"fields": {"text": "x"}, "label": 7, "task_type": "classification"}, "label must be"),
+        ],
+    )
+    def test_read_task_records_non_string_value_names_line(self, tmp_path, record, message):
+        path = tmp_path / "records.jsonl"
+        ok = json.dumps({"fields": {"text": "x"}, "task_type": "generation"})
+        write_lines(path, [ok, json.dumps(record)])
+        with pytest.raises(IngestError, match=rf"records\.jsonl: line 2: .*{message}"):
+            list(corpus.read_task_records(path, language="ind", source="demo"))
