@@ -32,13 +32,6 @@ _SCORERS = {
     "safety_preference": ("read_likelihood_pairs", {}),
 }
 _SCORE_INPUTS = {"metric", "predictions"}
-_COMMAND_KEYS = {
-    "tokenizer-train": {"corpus", "format", "language", "source", "vocab_size", "special_tokens"},
-    "fertility": {"corpus", "format", "language", "source", "model_a", "model_b"},
-    "adapt": {"old_model", "new_model", "old_embeddings"},
-    "build-collection": {"templates", "records", "plan", "language"},
-    "score": _SCORE_INPUTS.union(*(options for _, options in _SCORERS.values())),
-}
 
 
 class ConfigError(ValueError):
@@ -59,7 +52,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         config = corpus._load_json(args.config, ConfigError)
         if not isinstance(config, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
-    allowed = _COMMAND_KEYS[args.command] | _GLOBAL_KEYS
+    _, _, keys = _COMMANDS[args.command]
+    allowed = keys | _GLOBAL_KEYS
     unknown = set(config) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
@@ -240,16 +234,12 @@ def _cmd_build_collection(config: dict, out: _Outputs) -> list:
         )
     ]
     instances, manifest = collection.build_collection(registry, records, plan)
-    phase1, phase2 = collection.split_phases(instances)
     targets = plan.target_totals or {}
-    if "phase1" in targets:
-        phase1 = collection.subsample_to_target(phase1, targets["phase1"], plan.seed)
-    if "phase2" in targets:
-        phase2 = collection.subsample_to_target(phase2, targets["phase2"], plan.seed)
-    written = {
-        "phase1": collection.write_instances_jsonl(phase1, out.path("phase1.jsonl")),
-        "phase2": collection.write_instances_jsonl(phase2, out.path("phase2.jsonl")),
-    }
+    written = {}
+    for phase, selected in zip(("phase1", "phase2"), collection.split_phases(instances)):
+        if phase in targets:
+            selected = collection.subsample_to_target(selected, targets[phase], plan.seed)
+        written[phase] = collection.write_instances_jsonl(selected, out.path(f"{phase}.jsonl"))
     payload = manifest.to_json_dict()
     payload["written_per_phase"] = written
     out.write_json("collection_manifest.json", payload)
@@ -272,12 +262,33 @@ def _cmd_score(config: dict, out: _Outputs) -> list:
     return [predictions]
 
 
-_HANDLERS = {
-    "tokenizer-train": _cmd_tokenizer_train,
-    "fertility": _cmd_fertility,
-    "adapt": _cmd_adapt,
-    "build-collection": _cmd_build_collection,
-    "score": _cmd_score,
+# command -> (handler, help text, config keys it accepts besides the global ones)
+_COMMANDS = {
+    "tokenizer-train": (
+        _cmd_tokenizer_train,
+        "train a byte-level BPE vocabulary from corpus files",
+        {"corpus", "format", "language", "source", "vocab_size", "special_tokens"},
+    ),
+    "fertility": (
+        _cmd_fertility,
+        "compare token efficiency of two tokenizers on one corpus",
+        {"corpus", "format", "language", "source", "model_a", "model_b"},
+    ),
+    "adapt": (
+        _cmd_adapt,
+        "remap an embedding matrix onto a new vocabulary",
+        {"old_model", "new_model", "old_embeddings"},
+    ),
+    "build-collection": (
+        _cmd_build_collection,
+        "compile an instruction corpus from records and templates",
+        {"templates", "records", "plan", "language"},
+    ),
+    "score": (
+        _cmd_score,
+        "score a predictions file with one metric",
+        _SCORE_INPUTS.union(*(options for _, options in _SCORERS.values())),
+    ),
 }
 
 
@@ -288,15 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "tokenizer-train": "train a byte-level BPE vocabulary from corpus files",
-        "fertility": "compare token efficiency of two tokenizers on one corpus",
-        "adapt": "remap an embedding matrix onto a new vocabulary",
-        "build-collection": "compile an instruction corpus from records and templates",
-        "score": "score a predictions file with one metric",
-    }
-    for command in _HANDLERS:
-        sub = subparsers.add_parser(command, help=help_text[command])
+    for command, (_, help_text, _) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_text)
         sub.add_argument("--config", type=Path, help="JSON config file")
         sub.add_argument("--seed", type=int, help="seed recorded in the manifest")
         sub.add_argument("--threads", type=int, help="worker threads (never changes results)")
@@ -313,7 +317,8 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         config["out"] = str(outdir)
         out = _Outputs(outdir)
-        inputs = _HANDLERS[args.command](config, out)
+        handler, _, _ = _COMMANDS[args.command]
+        inputs = handler(config, out)
         _write_manifest(out, args.command, config, inputs)
     except Exception as exc:  # distilled to an exit code; partial outputs removed
         if out is not None:

@@ -94,13 +94,6 @@ class PromptTemplate:
         object.__setattr__(self, "task_type", TaskType(self.task_type))
         _check_language(self.language)
 
-    def slots(self) -> frozenset[str]:
-        """Slot names referenced by either pattern."""
-        return frozenset(
-            _PLACEHOLDER_RE.findall(self.input_pattern)
-            + _PLACEHOLDER_RE.findall(self.target_pattern)
-        )
-
 
 @dataclass(frozen=True)
 class InstructionInstance:
@@ -141,32 +134,22 @@ class InstructionInstance:
 
 
 class TemplateRegistry:
-    """Templates indexed by id and by task type (id-sorted per task)."""
+    """Templates grouped by task type, id-sorted within each task."""
 
-    def __init__(self, templates: Iterable[PromptTemplate] = ()):
-        self._by_id: dict[str, PromptTemplate] = {}
-        for template in templates:
-            self.add(template)
-
-    def add(self, template: PromptTemplate) -> None:
-        if template.id in self._by_id:
-            raise ValueError(f"duplicate template id {template.id!r}")
-        self._by_id[template.id] = template
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def get(self, template_id: str) -> PromptTemplate:
-        return self._by_id[template_id]
+    def __init__(self, templates: Iterable[PromptTemplate]):
+        ids: set[str] = set()
+        by_task: dict[TaskType, list[PromptTemplate]] = {}
+        for index, template in enumerate(templates):
+            if template.id in ids:
+                raise ValueError(f"template {index}: duplicate template id {template.id!r}")
+            ids.add(template.id)
+            by_task.setdefault(template.task_type, []).append(template)
+        self._by_task = {
+            task: tuple(sorted(group, key=lambda t: t.id)) for task, group in by_task.items()
+        }
 
     def for_task(self, task_type: TaskType) -> tuple[PromptTemplate, ...]:
-        task_type = TaskType(task_type)
-        return tuple(
-            sorted(
-                (t for t in self._by_id.values() if t.task_type is task_type),
-                key=lambda t: t.id,
-            )
-        )
+        return self._by_task.get(task_type, ())
 
     @classmethod
     def from_json_file(cls, path) -> "TemplateRegistry":
@@ -174,23 +157,25 @@ class TemplateRegistry:
         entries = _load_json(path, PlanError)
         if not isinstance(entries, list):
             raise PlanError(f"{path}: template file must contain a JSON array")
-        registry = cls()
+        templates = []
         for index, entry in enumerate(entries):
             try:
                 entry = _json_object(entry, "template")
-                registry.add(PromptTemplate(**{key: entry[key] for key in _TEMPLATE_KEYS}))
+                templates.append(PromptTemplate(**{key: entry[key] for key in _TEMPLATE_KEYS}))
             except KeyError as exc:
                 raise PlanError(f"{path}: template {index}: missing key {exc}") from exc
             except ValueError as exc:
                 raise PlanError(f"{path}: template {index}: {exc}") from exc
-        return registry
+        try:
+            return cls(templates)
+        except ValueError as exc:
+            raise PlanError(f"{path}: {exc}") from exc
 
 
 def render_template(
     template: PromptTemplate,
     record: TaskRecord,
     phase: Phase = Phase.PHASE1,
-    copy_index: int = 0,
 ) -> InstructionInstance:
     """Substitute record slots into the template patterns, verbatim.
 
@@ -223,7 +208,6 @@ def render_template(
         source=record.source,
         template_id=template.id,
         phase=phase,
-        copy_index=copy_index,
     )
 
 
@@ -260,6 +244,13 @@ def invert_generative(record: TaskRecord) -> TaskRecord:
     )
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is an integer; a bool, float or anything else raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SourcePlan:
     """Per-source replication factor, optional record cap, and phase."""
@@ -269,9 +260,9 @@ class SourcePlan:
     phase: Phase = Phase.PHASE1
 
     def __post_init__(self) -> None:
-        if self.upsample_factor < 1:
+        if _integer(self.upsample_factor, "upsample_factor") < 1:
             raise ValueError("upsample_factor must be >= 1")
-        if self.cap is not None and self.cap < 1:
+        if self.cap is not None and _integer(self.cap, "cap") < 1:
             raise ValueError("cap must be >= 1 when set")
         object.__setattr__(self, "phase", Phase(self.phase))
 
@@ -292,38 +283,35 @@ class SamplingPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _integer(self.seed, "seed")
         if self.target_totals is not None:
             for phase, total in self.target_totals.items():
                 Phase(phase)
-                if total < 0:
+                if _integer(total, f"target_totals[{phase!r}]") < 0:
                     raise ValueError("target totals must be >= 0")
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SamplingPlan":
-        """Build a plan from its JSON form; a malformed entry raises ``ValueError``."""
-        per_source = {}
-        for source, entry in _json_object(payload.get("per_source", {}), "per_source").items():
-            entry = _json_object(entry, f"per_source[{source!r}]")
-            try:
-                per_source[source] = SourcePlan(
-                    upsample_factor=int(entry.get("upsample_factor", 1)),
-                    cap=(int(entry["cap"]) if entry.get("cap") is not None else None),
-                    phase=Phase(entry.get("phase", "phase1")),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"per_source[{source!r}]: {exc}") from exc
-        totals = payload.get("target_totals")
-        if totals is not None:
-            totals = {k: int(v) for k, v in _json_object(totals, "target_totals").items()}
-        return cls(per_source=per_source, target_totals=totals, seed=int(payload.get("seed", 0)))
 
     @classmethod
     def from_json_file(cls, path) -> "SamplingPlan":
         """Load a plan file; any malformed entry raises :class:`PlanError` naming it."""
         payload = _load_json(path, PlanError)
         try:
-            return cls.from_dict(_json_object(payload, "sampling plan"))
-        except (TypeError, ValueError) as exc:
+            payload = _json_object(payload, "sampling plan")
+            per_source = {}
+            for source, entry in _json_object(payload.get("per_source", {}), "per_source").items():
+                entry = _json_object(entry, f"per_source[{source!r}]")
+                try:
+                    per_source[source] = SourcePlan(
+                        upsample_factor=entry.get("upsample_factor", 1),
+                        cap=entry.get("cap"),
+                        phase=entry.get("phase", "phase1"),
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"per_source[{source!r}]: {exc}") from exc
+            totals = payload.get("target_totals")
+            if totals is not None:
+                totals = _json_object(totals, "target_totals")
+            return cls(per_source=per_source, target_totals=totals, seed=payload.get("seed", 0))
+        except ValueError as exc:
             raise PlanError(f"{path}: {exc}") from exc
 
     def to_json_dict(self) -> dict:
@@ -335,22 +323,6 @@ class SamplingPlan:
             "target_totals": dict(self.target_totals) if self.target_totals else None,
             "seed": self.seed,
         }
-
-
-# Documented replication factors for the human-centric prompt sources; both
-# identity and safety prompts replicate 500x, poems 20x, all in phase 2.
-HUMAN_CENTRIC_UPSAMPLING = {"identity": 500, "safety": 500, "poems": 20}
-
-
-def default_human_centric_plan(seed: int = 0) -> SamplingPlan:
-    """Sampling plan carrying the standard human-centric upsampling factors."""
-    return SamplingPlan(
-        per_source={
-            source: SourcePlan(upsample_factor=factor, phase=Phase.PHASE2)
-            for source, factor in HUMAN_CENTRIC_UPSAMPLING.items()
-        },
-        seed=seed,
-    )
 
 
 @dataclass(frozen=True)
@@ -401,7 +373,6 @@ def build_collection(
         rows.append(record)
     rows.sort(key=lambda r: (r.source, r.id))
 
-    counts: Counter[str] = Counter()
     taken: Counter[str] = Counter()
     instances: list[InstructionInstance] = []
     for record in rows:
@@ -411,18 +382,15 @@ def build_collection(
         taken[record.source] += 1
         templates = registry.for_task(record.task_type)
         if not templates:
-            raise PlanError(
-                f"no templates registered for task type {record.task_type.value!r}"
-            )
+            raise PlanError(f"no templates registered for task type {record.task_type.value!r}")
         template = templates[_hash64(plan.seed, record.source, record.id) % len(templates)]
-        base = render_template(template, record, phase=source_plan.phase, copy_index=0)
+        base = render_template(template, record, phase=source_plan.phase)
         instances.append(base)
         for copy_index in range(1, source_plan.upsample_factor):
             instances.append(replace(base, copy_index=copy_index))
-        counts[record.source] += source_plan.upsample_factor
 
     manifest = BuildManifest(
-        per_source=dict(sorted(counts.items())),
+        per_source={s: n * plan.per_source[s].upsample_factor for s, n in sorted(taken.items())},
         plan=plan.to_json_dict(),
         seed=plan.seed,
         version=__version__,

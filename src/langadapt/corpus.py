@@ -137,6 +137,19 @@ def _parse_json_line(path, lineno: int, line: str) -> dict | None:
     return record
 
 
+def _record_id(path, lineno: int, value) -> str:
+    """A JSON-lines record id as a string: a string as given, an integer in decimal.
+
+    Any other value (``null``, a float, a bool, ...) raises :class:`IngestError`
+    naming the file and the 1-based ``lineno``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise IngestError(
+            f"{path}: line {lineno}: id must be a string or an integer, got {value!r}"
+        )
+    return str(value)
+
+
 def _read_lines(path) -> Iterator[tuple[int, str]]:
     """Yield ``(lineno, line)`` for each line of a UTF-8 file, 1-based.
 
@@ -188,10 +201,10 @@ def ingest(
 
     Text is NFC-normalized and trimmed; lines that are empty after trimming
     are skipped and counted in ``stats``. JSON lines must be objects with a
-    ``"text"`` field; a missing ``"id"`` defaults to the 0-based line number
-    as a decimal string (plain lines are numbered the same way). Lines end
-    at ``"\n"`` only. Invalid UTF-8 and malformed records raise
-    :class:`IngestError` naming the 1-based line.
+    ``"text"`` field and an optional string or integer ``"id"``; a missing id
+    defaults to the 0-based line number as a decimal string (plain lines are
+    numbered the same way). Lines end at ``"\n"`` only. Invalid UTF-8 and
+    malformed records raise :class:`IngestError` naming the 1-based line.
     """
     if format not in _FORMATS:
         raise ValueError(f"unknown corpus format {format!r}; expected one of {_FORMATS}")
@@ -211,14 +224,14 @@ def ingest(
             text = record.get("text")
             if not isinstance(text, str):
                 raise IngestError(f"{path}: line {lineno}: record has no string 'text'")
-            doc_id = str(record["id"]) if "id" in record else str(lineno - 1)
+            doc_id = _record_id(path, lineno, record.get("id", lineno - 1))
         text = unicodedata.normalize("NFC", text).strip()
         if not text:
             stats.skipped_empty += 1
             continue
         if doc_id in seen:
             raise IngestError(
-                f"{path}: duplicate document id {doc_id!r} for source {source!r}"
+                f"{path}: line {lineno}: duplicate document id {doc_id!r} for source {source!r}"
             )
         seen.add(doc_id)
         stats.documents += 1
@@ -234,16 +247,17 @@ def read_task_records(
     """Stream task records from a JSON-lines file.
 
     Each line is an object with a ``"fields"`` mapping and a ``"task_type"``;
-    ``"id"``, ``"label"`` and ``"language"`` are optional (a record-level
-    language overrides the default passed here). Slot values are kept as
-    given and must be strings; a label must be a string or null. (source, id)
-    pairs must be unique within the file.
+    ``"id"`` (a string or an integer), ``"label"`` and ``"language"`` are
+    optional (a record-level language overrides the default passed here).
+    Slot values are kept as given and must be strings; a label must be a
+    string or null. (source, id) pairs must be unique within the file.
     """
     seen: set[tuple[str, str]] = set()
     for lineno, line in _read_lines(path):
         record = _parse_json_line(path, lineno, line)
         if record is None:
             continue
+        record_id = _record_id(path, lineno, record.get("id", lineno - 1))
         try:
             fields = record.get("fields", {})
             if not isinstance(fields, dict):
@@ -252,7 +266,7 @@ def read_task_records(
             if lang is None:
                 raise ValueError("record has no language and no default was given")
             rec = TaskRecord(
-                id=str(record["id"]) if "id" in record else str(lineno - 1),
+                id=record_id,
                 fields=fields,
                 label=record.get("label"),
                 task_type=TaskType(record.get("task_type", "")),
@@ -264,7 +278,7 @@ def read_task_records(
         key = (rec.source, rec.id)
         if key in seen:
             raise IngestError(
-                f"{path}: duplicate record id {rec.id!r} for source {rec.source!r}"
+                f"{path}: line {lineno}: duplicate record id {rec.id!r} for source {rec.source!r}"
             )
         seen.add(key)
         yield rec

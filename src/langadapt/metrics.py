@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import IngestError, _parse_json_line, _read_lines, normalize
+from .corpus import IngestError, _parse_json_line, _read_lines, _record_id, normalize
 
 __all__ = [
     "LabeledPair",
@@ -429,9 +429,9 @@ def match_verbalizer(
 def _read_jsonl(path, make) -> list:
     """Build one example per JSON-lines record with ``make(id, record)``.
 
-    Every record needs an ``"id"``, unique within the file. A missing id, a
-    duplicate, or a missing or ill-typed field raises :class:`IngestError`
-    naming the file and the 1-based line.
+    Every record needs a string or integer ``"id"``, unique within the file.
+    A missing or ill-typed id, a duplicate, or a missing or ill-typed field
+    raises :class:`IngestError` naming the file and the 1-based line.
     """
     examples = []
     seen: set[str] = set()
@@ -441,7 +441,7 @@ def _read_jsonl(path, make) -> list:
             continue
         if "id" not in record:
             raise IngestError(f"{path}: line {lineno}: record has no 'id'")
-        record_id = str(record["id"])
+        record_id = _record_id(path, lineno, record["id"])
         if record_id in seen:
             raise IngestError(f"{path}: line {lineno}: duplicate id {record_id!r}")
         seen.add(record_id)

@@ -81,7 +81,10 @@ class EmbeddingMatrix:
         if self.data.ndim != 2 or self.rows < 1 or self.dims < 1:
             raise ValueError("embedding matrix must have at least one row and column")
         _check_hash(self.vocab_hash)
-        finite_rows = np.isfinite(self.data).all(axis=1)
+        # A row of finite float32 values cannot overflow a float64 sum, so a
+        # non-finite row sum marks exactly the rows holding inf or nan.
+        with np.errstate(invalid="ignore"):
+            finite_rows = np.isfinite(self.data.sum(axis=1, dtype=np.float64))
         if not finite_rows.all():
             bad = int(np.flatnonzero(~finite_rows)[0])
             raise ValueError(f"non-finite value in embedding row {bad}")

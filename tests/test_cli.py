@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from langadapt import corpus, metrics, tokenizer, vocab_adapt
+from langadapt import collection, corpus, metrics, tokenizer, vocab_adapt
 from langadapt.cli import main
 from langadapt.corpus import CorpusDocument
 
@@ -381,11 +381,12 @@ class TestBuildCollection:
                 "template 0: missing key 'target_pattern'",
             ),
             ("templates.json", lambda t: t + ["gen"], "template 1: template must be a JSON object"),
+            ("templates.json", lambda t: t + t, "template 1: duplicate template id 'gen-identity'"),
             ("plan.json", lambda p: dict(p, per_source=[1, 2]), "per_source must be a JSON object"),
             (
                 "plan.json",
                 lambda p: {"per_source": {"identity": {"upsample_factor": "x"}}},
-                "per_source['identity']: invalid literal for int()",
+                "per_source['identity']: upsample_factor must be an integer, got 'x'",
             ),
             (
                 "plan.json",
@@ -397,8 +398,8 @@ class TestBuildCollection:
             ("plan.json", lambda p: b"\xfe{}", "invalid UTF-8 at byte 0"),
         ],
         ids=[
-            "missing-key", "entry-not-object", "per-source-list", "factor-not-int",
-            "unknown-phase", "config-utf8", "templates-utf8", "plan-utf8",
+            "missing-key", "entry-not-object", "duplicate-template-id", "per-source-list",
+            "factor-not-int", "unknown-phase", "config-utf8", "templates-utf8", "plan-utf8",
         ],
     )
     def test_malformed_entry_names_file(self, tmp_path, capsys, name, edit, message):
@@ -412,9 +413,7 @@ class TestBuildCollection:
         assert not (out / "manifest.json").exists()
 
     def test_default_plan_factors(self):
-        from langadapt.collection import default_human_centric_plan
-
-        plan = default_human_centric_plan(seed=3)
+        plan = collection.SamplingPlan.from_json_file(DATA / "human_centric" / "plan.json")
         factors = {s: p.upsample_factor for s, p in plan.per_source.items()}
         assert factors == {"identity": 500, "safety": 500, "poems": 20}
         assert all(p.phase.value == "phase2" for p in plan.per_source.values())

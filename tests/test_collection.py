@@ -397,6 +397,30 @@ class TestPlanAndJsonl:
         loaded = SamplingPlan.from_json_file(path)
         assert loaded == plan
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"per_source": {"identity": {"upsample_factor": 2.9}}}, "upsample_factor"),
+            ({"per_source": {"identity": {"cap": 1.5}}}, "cap"),
+            ({"per_source": {"identity": {"upsample_factor": True}}}, "upsample_factor"),
+            ({"per_source": {}, "target_totals": {"phase1": 10.7}}, "target_totals['phase1']"),
+            ({"per_source": {}, "seed": 3.2}, "seed"),
+        ],
+        ids=["factor-float", "cap-float", "factor-bool", "total-float", "seed-float"],
+    )
+    def test_plan_numbers_must_be_integers(self, tmp_path, payload, field):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(PlanError) as excinfo:
+            SamplingPlan.from_json_file(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: ")
+        assert f"{field} must be an integer" in message
+
+    def test_source_plan_rejects_non_integer_factor(self):
+        with pytest.raises(ValueError, match="upsample_factor must be an integer, got 2.9"):
+            SourcePlan(upsample_factor=2.9)
+
     def test_jsonl_schema(self, tmp_path):
         instance = InstructionInstance(
             input="Terjemahkan: halo",

@@ -5,7 +5,7 @@ import unicodedata
 import pytest
 from hypothesis import given, strategies as st
 
-from langadapt import corpus
+from langadapt import corpus, metrics
 from langadapt.corpus import (
     CorpusDocument,
     IngestError,
@@ -231,3 +231,39 @@ class TestTaskRecord:
         write_lines(path, [ok, json.dumps(record)])
         with pytest.raises(IngestError, match=rf"records\.jsonl: line 2: .*{message}"):
             list(corpus.read_task_records(path, language="ind", source="demo"))
+
+
+# Each JSON-lines reader that takes an "id", with a record valid apart from its id.
+ID_READERS = {
+    "ingest": (
+        lambda path: list(corpus.ingest(path, "json_lines", language="ind", source="demo")),
+        {"text": "a"},
+    ),
+    "read_task_records": (
+        lambda path: list(corpus.read_task_records(path, language="ind", source="demo")),
+        {"fields": {"text": "x"}, "task_type": "generation"},
+    ),
+    "metrics": (metrics.read_labeled_pairs, {"predicted_label": "A", "gold_label": "B"}),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(ID_READERS))
+@pytest.mark.parametrize("bad_id", [None, 1.0, True], ids=["null", "float", "bool"])
+def test_record_id_must_be_string_or_integer(tmp_path, reader, bad_id):
+    read, record = ID_READERS[reader]
+    path = tmp_path / "records.jsonl"
+    write_lines(path, [json.dumps(dict(record, id="a")), json.dumps(dict(record, id=bad_id))])
+    message = rf"records\.jsonl: line 2: id must be a string or an integer, got {bad_id!r}"
+    with pytest.raises(IngestError, match=message):
+        read(path)
+
+
+@pytest.mark.parametrize("reader", sorted(ID_READERS))
+def test_record_ids_as_strings_and_duplicates_name_line(tmp_path, reader):
+    read, record = ID_READERS[reader]
+    path = tmp_path / "records.jsonl"
+    write_lines(path, [json.dumps(dict(record, id=7)), json.dumps(dict(record, id="x"))])
+    assert [item.id for item in read(path)] == ["7", "x"]
+    write_lines(path, [json.dumps(dict(record, id=7)), json.dumps(dict(record, id="7"))])
+    with pytest.raises(IngestError, match=r"records\.jsonl: line 2: duplicate"):
+        read(path)

@@ -94,11 +94,25 @@ class TestFileFormat:
         with pytest.raises(EmbeddingFormatError, match="magic at byte offset 0"):
             load_embeddings(path)
 
-    def test_save_rejects_non_finite(self, tmp_path):
-        data = np.ones((2, 2), dtype=np.float32)
-        data[1, 0] = np.inf
-        with pytest.raises(ValueError, match="row 1"):
+    @pytest.mark.parametrize(
+        "row",
+        [[np.inf, 1.0], [-np.inf, 1.0], [1.0, np.nan], [np.inf, -np.inf]],
+        ids=["inf", "-inf", "nan", "inf-and-minus-inf"],
+    )
+    def test_save_rejects_non_finite(self, tmp_path, row):
+        data = np.ones((3, 2), dtype=np.float32)
+        data[1] = row
+        data[2] = np.nan
+        with pytest.raises(ValueError, match="non-finite value in embedding row 1$"):
             save_embeddings(EmbeddingMatrix.from_array(data, "0" * 32), tmp_path / "x.bin")
+
+    def test_save_accepts_float32_max_rows(self, tmp_path):
+        big = np.finfo(np.float32).max
+        data = np.full((2, 2048), big, dtype=np.float32)
+        data[1] = -big
+        path = tmp_path / "x.bin"
+        save_embeddings(EmbeddingMatrix.from_array(data, "0" * 32), path)
+        assert load_embeddings(path).data.tobytes() == data.tobytes()
 
 
 class TestAdaptEmbeddings:
@@ -267,7 +281,10 @@ def traced_peak(fn, *args):
 
 
 class TestMemory:
-    """The old matrix is held once: no float64 shadow, no load or save copies."""
+    """The old matrix is held once: no float64 shadow, no load or save copies.
+
+    Saving allocates no array as large as the matrix, not even a finiteness mask.
+    """
 
     def test_load_adapt_save_hold_one_copy(self, tmp_path, old_model, new_model):
         rng = np.random.default_rng(9)
@@ -278,5 +295,6 @@ class TestMemory:
         loaded, load_peak = traced_peak(load_embeddings, path)
         (new_emb, _), adapt_peak = traced_peak(adapt_embeddings, old_model, loaded, new_model)
         assert load_peak < 1.25 * data.nbytes
-        assert save_peak < 0.5 * data.nbytes
+        # numpy's fixed 64 KB cast buffer for the float64 row sums is 7% of this 1 MB matrix
+        assert save_peak < 0.1 * data.nbytes
         assert adapt_peak < new_emb.data.nbytes + 0.5 * data.nbytes
