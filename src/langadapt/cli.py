@@ -20,18 +20,24 @@ from pathlib import Path
 
 from . import __version__, collection, corpus, metrics, tokenizer, vocab_adapt
 
-_GLOBAL_KEYS = {"seed", "threads", "out"}
-# metric -> (reader, {option: conversion}). Both names are looked up on
+# Config keys map to the JSON type (a ``corpus._typed`` kind) they take.
+_STR, _INT, _NUM, _FILES = "a string", "an integer", "a number", "a string or a list"
+_GLOBAL_KEYS = {"seed": _INT, "threads": _INT, "out": _STR}
+# Keys of a ``corpus``/``records`` entry object, each a string; all but
+# ``path`` may also be given once at the top level.
+_ENTRY_KEYS = ("path", "format", "language", "source")
+_CORPUS_KEYS = {"corpus": _FILES, **dict.fromkeys(_ENTRY_KEYS[1:], _STR)}
+# metric -> (reader, {option: kind}). Both names are looked up on
 # ``metrics`` at call time, so wrappers set on the module after import apply.
 _SCORERS = {
     "weighted_f1": ("read_labeled_pairs", {}),
-    "chrf_pp": ("read_prediction_pairs", {"char_order": int, "word_order": int, "beta": float}),
-    "corpus_bleu": ("read_prediction_pairs", {"max_order": int, "smoothing": lambda v: v}),
-    "rouge_l": ("read_prediction_pairs", {"beta": float}),
+    "chrf_pp": ("read_prediction_pairs", {"char_order": _INT, "word_order": _INT, "beta": _NUM}),
+    "corpus_bleu": ("read_prediction_pairs", {"max_order": _INT, "smoothing": _STR}),
+    "rouge_l": ("read_prediction_pairs", {"beta": _NUM}),
     "mc1_accuracy": ("read_mc1_items", {}),
     "safety_preference": ("read_likelihood_pairs", {}),
 }
-_SCORE_INPUTS = {"metric", "predictions"}
+_SCORE_INPUTS = {"metric": _STR, "predictions": _STR}
 
 
 class ConfigError(ValueError):
@@ -47,25 +53,26 @@ def _sha256_file(path) -> str:
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
+    """The config file's values, checked against their keys' kinds, then flags and defaults."""
     config: dict = {}
     if args.config is not None:
         config = corpus._load_json(args.config, ConfigError)
-        if not isinstance(config, dict):
-            raise ConfigError(f"{args.config}: config must be a JSON object")
-    _, _, keys = _COMMANDS[args.command]
-    allowed = keys | _GLOBAL_KEYS
-    unknown = set(config) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
-    for flag in ("seed", "threads", "out"):
+        kinds = _COMMANDS[args.command][2] | _GLOBAL_KEYS
+        try:
+            unknown = set(corpus._typed(config, "a JSON object", "config")) - set(kinds)
+            if unknown:
+                raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+            for key, value in config.items():
+                corpus._typed(value, kinds[key], key)
+        except ValueError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from exc
+    for flag in _GLOBAL_KEYS:
         value = getattr(args, flag)
         if value is not None:
             config[flag] = value
     config.setdefault("seed", 0)
     config.setdefault("threads", os.cpu_count() or 1)
     config.setdefault("out", "out")
-    config["seed"] = int(config["seed"])
-    config["threads"] = int(config["threads"])
     if config["threads"] < 1:
         raise ConfigError("threads must be >= 1")
     return config
@@ -80,15 +87,21 @@ def _require(config: dict, key: str):
 def _input_files(config: dict, key: str) -> list[dict]:
     """Normalize a ``path | [path | {path, ...}]`` entry to per-file dicts with defaults."""
     entries = _require(config, key)
-    if isinstance(entries, (str, Path)):
+    if isinstance(entries, str):
         entries = [entries]
     files = []
     for entry in entries:
-        if isinstance(entry, (str, Path)):
+        if isinstance(entry, str):
             entry = {"path": entry}
         if not isinstance(entry, dict) or "path" not in entry:
             raise ConfigError(f"{key} entry {entry!r} has no 'path'")
-        path = str(entry["path"])
+        try:
+            for field in _ENTRY_KEYS:
+                if field in entry:
+                    corpus._typed(entry[field], _STR, field)
+        except ValueError as exc:
+            raise ConfigError(f"{key} entry {entry!r}: {exc}") from exc
+        path = entry["path"]
         resolved = {
             "path": path,
             "format": entry.get("format", config.get("format", corpus.PLAIN_LINES)),
@@ -163,14 +176,14 @@ def _write_manifest(out: _Outputs, command: str, config: dict, inputs: list) -> 
         "version": __version__,
         "seed": config["seed"],
         "config": {key: config[key] for key in sorted(config)},
-        "inputs": {str(path): _sha256_file(path) for path in sorted(set(map(str, inputs)))},
+        "inputs": {path: _sha256_file(path) for path in sorted(set(inputs))},
         "outputs": out.checksums(),
     }
     out.write_json("manifest.json", manifest)
 
 
 def _cmd_tokenizer_train(config: dict, out: _Outputs) -> list:
-    vocab_size = int(_require(config, "vocab_size"))
+    vocab_size = _require(config, "vocab_size")
     specials = config.get("special_tokens", list(tokenizer.REQUIRED_SPECIALS))
     files = _input_files(config, "corpus")
     model = tokenizer.train_bpe(_ingest_all(files), vocab_size, specials)
@@ -202,7 +215,7 @@ def _cmd_fertility(config: dict, out: _Outputs) -> list:
         comparison[language] = entry
     out.write_json(
         "fertility.json",
-        {"model_a": str(path_a), "model_b": str(path_b), "languages": comparison},
+        {"model_a": path_a, "model_b": path_b, "languages": comparison},
     )
     return [path_a, path_b] + [entry["path"] for entry in files]
 
@@ -251,43 +264,44 @@ def _cmd_score(config: dict, out: _Outputs) -> list:
     predictions = _require(config, "predictions")
     if metric not in _SCORERS:
         raise ConfigError(f"unknown metric {metric!r}")
-    reader, conversions = _SCORERS[metric]
-    rejected = set(config) - _GLOBAL_KEYS - _SCORE_INPUTS - set(conversions)
+    reader, option_kinds = _SCORERS[metric]
+    rejected = config.keys() - _GLOBAL_KEYS.keys() - _SCORE_INPUTS.keys() - option_kinds.keys()
     if rejected:
         raise ConfigError(f"metric {metric} does not take options {sorted(rejected)}")
-    options = {key: convert(config[key]) for key, convert in conversions.items() if key in config}
+    options = {key: config[key] for key in option_kinds if key in config}
     examples = getattr(metrics, reader)(predictions)
     report = getattr(metrics, metric)(examples, **options)
     out.write_json("report.json", report.to_json_dict())
     return [predictions]
 
 
-# command -> (handler, help text, config keys it accepts besides the global ones)
+# command -> (handler, help text, {config key: kind} besides the global keys)
 _COMMANDS = {
     "tokenizer-train": (
         _cmd_tokenizer_train,
         "train a byte-level BPE vocabulary from corpus files",
-        {"corpus", "format", "language", "source", "vocab_size", "special_tokens"},
+        _CORPUS_KEYS | {"vocab_size": _INT, "special_tokens": "a list of strings"},
     ),
     "fertility": (
         _cmd_fertility,
         "compare token efficiency of two tokenizers on one corpus",
-        {"corpus", "format", "language", "source", "model_a", "model_b"},
+        _CORPUS_KEYS | {"model_a": _STR, "model_b": _STR},
     ),
     "adapt": (
         _cmd_adapt,
         "remap an embedding matrix onto a new vocabulary",
-        {"old_model", "new_model", "old_embeddings"},
+        dict.fromkeys(("old_model", "new_model", "old_embeddings"), _STR),
     ),
     "build-collection": (
         _cmd_build_collection,
         "compile an instruction corpus from records and templates",
-        {"templates", "records", "plan", "language"},
+        {"templates": _STR, "records": _FILES, "plan": _STR, "language": _STR},
     ),
     "score": (
         _cmd_score,
         "score a predictions file with one metric",
-        _SCORE_INPUTS.union(*(options for _, options in _SCORERS.values())),
+        _SCORE_INPUTS
+        | {key: kind for _, options in _SCORERS.values() for key, kind in options.items()},
     ),
 }
 

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from . import __version__
-from .corpus import TaskRecord, TaskType, _check_language, _load_json
+from .corpus import TaskRecord, TaskType, _check_language, _load_json, _typed
 
 __all__ = [
     "BuildManifest",
@@ -70,12 +70,6 @@ class PlanError(ValueError):
     """A plan or template file is not valid JSON, or records do not fit them."""
 
 
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    return value
-
-
 @dataclass(frozen=True)
 class PromptTemplate:
     """A parameterized instruction pattern with ``{slot}`` placeholders."""
@@ -87,10 +81,10 @@ class PromptTemplate:
     language: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
+        if not _typed(self.id, "a string", "template id"):
             raise ValueError("template id must be a non-empty string")
-        if not isinstance(self.input_pattern, str) or not isinstance(self.target_pattern, str):
-            raise ValueError(f"template {self.id!r}: patterns must be strings")
+        _typed(self.input_pattern, "a string", f"template {self.id!r}: input_pattern")
+        _typed(self.target_pattern, "a string", f"template {self.id!r}: target_pattern")
         object.__setattr__(self, "task_type", TaskType(self.task_type))
         _check_language(self.language)
 
@@ -160,7 +154,7 @@ class TemplateRegistry:
         templates = []
         for index, entry in enumerate(entries):
             try:
-                entry = _json_object(entry, "template")
+                entry = _typed(entry, "a JSON object", "template")
                 templates.append(PromptTemplate(**{key: entry[key] for key in _TEMPLATE_KEYS}))
             except KeyError as exc:
                 raise PlanError(f"{path}: template {index}: missing key {exc}") from exc
@@ -244,13 +238,6 @@ def invert_generative(record: TaskRecord) -> TaskRecord:
     )
 
 
-def _integer(value, what: str) -> int:
-    """``value`` if it is an integer; a bool, float or anything else raises ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class SourcePlan:
     """Per-source replication factor, optional record cap, and phase."""
@@ -260,9 +247,9 @@ class SourcePlan:
     phase: Phase = Phase.PHASE1
 
     def __post_init__(self) -> None:
-        if _integer(self.upsample_factor, "upsample_factor") < 1:
+        if _typed(self.upsample_factor, "an integer", "upsample_factor") < 1:
             raise ValueError("upsample_factor must be >= 1")
-        if self.cap is not None and _integer(self.cap, "cap") < 1:
+        if self.cap is not None and _typed(self.cap, "an integer", "cap") < 1:
             raise ValueError("cap must be >= 1 when set")
         object.__setattr__(self, "phase", Phase(self.phase))
 
@@ -283,11 +270,11 @@ class SamplingPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _integer(self.seed, "seed")
+        _typed(self.seed, "an integer", "seed")
         if self.target_totals is not None:
             for phase, total in self.target_totals.items():
                 Phase(phase)
-                if _integer(total, f"target_totals[{phase!r}]") < 0:
+                if _typed(total, "an integer", f"target_totals[{phase!r}]") < 0:
                     raise ValueError("target totals must be >= 0")
 
     @classmethod
@@ -295,10 +282,11 @@ class SamplingPlan:
         """Load a plan file; any malformed entry raises :class:`PlanError` naming it."""
         payload = _load_json(path, PlanError)
         try:
-            payload = _json_object(payload, "sampling plan")
+            payload = _typed(payload, "a JSON object", "sampling plan")
             per_source = {}
-            for source, entry in _json_object(payload.get("per_source", {}), "per_source").items():
-                entry = _json_object(entry, f"per_source[{source!r}]")
+            sources = _typed(payload.get("per_source", {}), "a JSON object", "per_source")
+            for source, entry in sources.items():
+                entry = _typed(entry, "a JSON object", f"per_source[{source!r}]")
                 try:
                     per_source[source] = SourcePlan(
                         upsample_factor=entry.get("upsample_factor", 1),
@@ -309,7 +297,7 @@ class SamplingPlan:
                     raise ValueError(f"per_source[{source!r}]: {exc}") from exc
             totals = payload.get("target_totals")
             if totals is not None:
-                totals = _json_object(totals, "target_totals")
+                totals = _typed(totals, "a JSON object", "target_totals")
             return cls(per_source=per_source, target_totals=totals, seed=payload.get("seed", 0))
         except ValueError as exc:
             raise PlanError(f"{path}: {exc}") from exc

@@ -1,11 +1,12 @@
-"""Corpus ingestion, text normalization, and per-language counting.
+"""Corpus ingestion, text normalization, and JSON field types.
 
 Raw corpora arrive either as plain text (one document per line) or as JSON
 lines with a required ``"text"`` field. Documents are NFC-normalized and
 trimmed on ingestion so that downstream tokenizer training and token
 statistics are reproducible. Malformed records fail fast; corpus builds must
 be auditable, so nothing is silently skipped except empty lines (which are
-counted).
+counted). Every decoded JSON value a loader reads is checked with
+:func:`_typed` and kept as given; nothing is converted.
 """
 
 from __future__ import annotations
@@ -14,18 +15,15 @@ import json
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
     "CorpusDocument",
     "IngestError",
     "IngestStats",
-    "LanguageStats",
     "TaskRecord",
     "TaskType",
-    "corpus_stats",
     "ingest",
-    "merge_stats",
     "normalize",
     "read_task_records",
 ]
@@ -137,16 +135,50 @@ def _parse_json_line(path, lineno: int, line: str) -> dict | None:
     return record
 
 
+# kind -> (the exact Python types ``json`` decodes a value of that kind to,
+# and the kind of each item for a list kind).
+_KINDS = {
+    "a string": ({str}, None),
+    "an integer": ({int}, None),
+    "a number": ({int, float}, None),
+    "a list": ({list}, None),
+    "a JSON object": ({dict}, None),
+    "a string or an integer": ({str, int}, None),
+    "a string or a list": ({str, list}, None),
+    "a list of strings": ({list}, "a string"),
+    "a list of integers": ({list}, "an integer"),
+    "a list of numbers": ({list}, "a number"),
+}
+
+
+def _typed(value, kind: str, what: str):
+    """``value`` unchanged if its JSON type is ``kind``, a key of ``_KINDS``.
+
+    Anything else raises ``ValueError("<what> must be <kind>, got <value!r>")``,
+    naming the first bad item of a list kind as ``<what>[<index>]``; callers
+    add the file (and line). Types must match exactly, so a bool is never a
+    number, and one pass over the item types decides a list.
+    """
+    types, item_kind = _KINDS[kind]
+    if type(value) not in types:
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    if item_kind is not None and not _KINDS[item_kind][0].issuperset(map(type, value)):
+        for index, item in enumerate(value):
+            _typed(item, item_kind, f"{what}[{index}]")
+    return value
+
+
 def _record_id(path, lineno: int, value) -> str:
     """A JSON-lines record id as a string: a string as given, an integer in decimal.
 
-    Any other value (``null``, a float, a bool, ...) raises :class:`IngestError`
-    naming the file and the 1-based ``lineno``.
+    Any other value (``null``, ``""``, a float, a bool, ...) raises
+    :class:`IngestError` naming the file and the 1-based ``lineno``.
     """
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise IngestError(
-            f"{path}: line {lineno}: id must be a string or an integer, got {value!r}"
-        )
+    try:
+        if _typed(value, "a string or an integer", "id") == "":
+            raise ValueError("id must be a non-empty string or an integer, got ''")
+    except ValueError as exc:
+        raise IngestError(f"{path}: line {lineno}: {exc}") from exc
     return str(value)
 
 
@@ -221,10 +253,11 @@ def ingest(
             if record is None:
                 stats.skipped_empty += 1
                 continue
-            text = record.get("text")
-            if not isinstance(text, str):
-                raise IngestError(f"{path}: line {lineno}: record has no string 'text'")
             doc_id = _record_id(path, lineno, record.get("id", lineno - 1))
+            try:
+                text = _typed(record.get("text"), "a string", "text")
+            except ValueError as exc:
+                raise IngestError(f"{path}: line {lineno}: {exc}") from exc
         text = unicodedata.normalize("NFC", text).strip()
         if not text:
             stats.skipped_empty += 1
@@ -259,19 +292,16 @@ def read_task_records(
             continue
         record_id = _record_id(path, lineno, record.get("id", lineno - 1))
         try:
-            fields = record.get("fields", {})
-            if not isinstance(fields, dict):
-                raise ValueError("'fields' must be an object")
             lang = record.get("language", language)
             if lang is None:
                 raise ValueError("record has no language and no default was given")
             rec = TaskRecord(
                 id=record_id,
-                fields=fields,
+                fields=_typed(record.get("fields", {}), "a JSON object", "fields"),
                 label=record.get("label"),
                 task_type=TaskType(record.get("task_type", "")),
                 language=lang,
-                source=str(record.get("source", source)),
+                source=_typed(record.get("source", source), "a string", "source"),
             )
         except ValueError as exc:
             raise IngestError(f"{path}: line {lineno}: {exc}") from exc
@@ -282,43 +312,3 @@ def read_task_records(
             )
         seen.add(key)
         yield rec
-
-
-@dataclass(frozen=True)
-class LanguageStats:
-    """Exact counts for one language within a document stream."""
-
-    doc_count: int = 0
-    whitespace_word_count: int = 0
-    codepoint_count: int = 0
-
-
-def corpus_stats(docs: Iterable[CorpusDocument]) -> dict[str, LanguageStats]:
-    """Count documents, whitespace-delimited words, and codepoints per language.
-
-    A word is a maximal non-whitespace run. Totals are invariant under any
-    permutation of the input stream.
-    """
-    acc: dict[str, list[int]] = {}
-    for doc in docs:
-        entry = acc.setdefault(doc.language, [0, 0, 0])
-        entry[0] += 1
-        entry[1] += len(doc.text.split())
-        entry[2] += len(doc.text)
-    return {lang: LanguageStats(*entry) for lang, entry in sorted(acc.items())}
-
-
-def merge_stats(
-    a: dict[str, LanguageStats], b: dict[str, LanguageStats]
-) -> dict[str, LanguageStats]:
-    """Associatively merge two partial count maps (for sharded counting)."""
-    merged: dict[str, LanguageStats] = {}
-    for lang in sorted(set(a) | set(b)):
-        left = a.get(lang, LanguageStats())
-        right = b.get(lang, LanguageStats())
-        merged[lang] = LanguageStats(
-            left.doc_count + right.doc_count,
-            left.whitespace_word_count + right.whitespace_word_count,
-            left.codepoint_count + right.codepoint_count,
-        )
-    return merged

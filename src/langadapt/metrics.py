@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import IngestError, _parse_json_line, _read_lines, _record_id, normalize
+from .corpus import IngestError, _parse_json_line, _read_lines, _record_id, _typed, normalize
 
 __all__ = [
     "LabeledPair",
@@ -426,13 +426,16 @@ def match_verbalizer(
     return best[2] if best is not None else None
 
 
-def _read_jsonl(path, make) -> list:
-    """Build one example per JSON-lines record with ``make(id, record)``.
+def _read_jsonl(path, make, first, second) -> list:
+    """Build one example per JSON-lines record with ``make(id, value, value)``.
 
-    Every record needs a string or integer ``"id"``, unique within the file.
-    A missing or ill-typed id, a duplicate, or a missing or ill-typed field
-    raises :class:`IngestError` naming the file and the 1-based line.
+    Every record needs a string or integer ``"id"``, unique within the file,
+    and the two fields named by the ``(key, kind)`` pairs ``first`` and
+    ``second``. A missing or ill-typed id, a duplicate, or a missing or
+    ill-typed field raises :class:`IngestError` naming the file and the
+    1-based line.
     """
+    (key_a, kind_a), (key_b, kind_b) = first, second
     examples = []
     seen: set[str] = set()
     for lineno, line in _read_lines(path):
@@ -446,48 +449,36 @@ def _read_jsonl(path, make) -> list:
             raise IngestError(f"{path}: line {lineno}: duplicate id {record_id!r}")
         seen.add(record_id)
         try:
-            examples.append(make(record_id, record))
-        except (KeyError, TypeError, ValueError) as exc:
+            value_a = _typed(record[key_a], kind_a, key_a)
+            examples.append(make(record_id, value_a, _typed(record[key_b], kind_b, key_b)))
+        except (KeyError, ValueError) as exc:
             raise IngestError(f"{path}: line {lineno}: {exc}") from exc
     return examples
-
-
-def _list_field(record: dict, key: str) -> list:
-    value = record[key]
-    if not isinstance(value, list):
-        raise ValueError(f"{key!r} must be a list")
-    return value
 
 
 def read_prediction_pairs(path) -> list[PredictionPair]:
     """Read {"id", "hypothesis", "references"} JSON lines."""
     return _read_jsonl(
-        path,
-        lambda i, r: PredictionPair(
-            i, str(r["hypothesis"]), tuple(map(str, _list_field(r, "references")))
-        ),
+        path, PredictionPair, ("hypothesis", "a string"), ("references", "a list of strings")
     )
 
 
 def read_labeled_pairs(path) -> list[LabeledPair]:
     """Read {"id", "predicted_label", "gold_label"} JSON lines."""
     return _read_jsonl(
-        path, lambda i, r: LabeledPair(i, str(r["predicted_label"]), str(r["gold_label"]))
+        path, LabeledPair, ("predicted_label", "a string"), ("gold_label", "a string")
     )
 
 
 def read_likelihood_pairs(path) -> list[LikelihoodPair]:
     """Read {"id", "benign_score", "harmful_score"} JSON lines."""
     return _read_jsonl(
-        path, lambda i, r: LikelihoodPair(i, float(r["benign_score"]), float(r["harmful_score"]))
+        path, LikelihoodPair, ("benign_score", "a number"), ("harmful_score", "a number")
     )
 
 
 def read_mc1_items(path) -> list[MC1Item]:
     """Read {"id", "option_scores", "gold_index"} JSON lines."""
     return _read_jsonl(
-        path,
-        lambda i, r: MC1Item(
-            i, tuple(map(float, _list_field(r, "option_scores"))), int(r["gold_index"])
-        ),
+        path, MC1Item, ("option_scores", "a list of numbers"), ("gold_index", "an integer")
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import CorpusDocument
+from .corpus import CorpusDocument, _typed
 
 __all__ = [
     "FertilityReport",
@@ -409,9 +409,9 @@ def fertility(
 ) -> list[FertilityReport]:
     """Measure per-language token counts of a document stream.
 
-    ``tokens_per_word`` divides by whitespace word counts (the same counting
-    rule as :func:`langadapt.corpus.corpus_stats`); whitespace tokens are
-    included in the numerator. Reports are sorted by language code.
+    ``tokens_per_word`` divides by whitespace word counts (``str.split``);
+    whitespace tokens are included in the numerator. Reports are sorted by
+    language code.
     """
     encoder = _encoder_for(model)
     acc: dict[str, list[int]] = {}
@@ -488,13 +488,15 @@ def load_model(path) -> TokenizerModel:
     if missing:
         raise ValueError(f"{path}: model file missing keys {sorted(missing)}")
     try:
-        pieces = tuple(
-            base64.b64decode(entry, validate=True) for entry in payload["pieces"]
-        )
-        merges = tuple((int(l), int(r)) for l, r in payload["merges"])
-        specials = {str(k): int(v) for k, v in payload["special_tokens"].items()}
-        version = int(payload["version"])
-    except (TypeError, ValueError) as exc:
+        pieces = _typed(payload["pieces"], "a list of strings", "pieces")
+        pieces = tuple(base64.b64decode(entry, validate=True) for entry in pieces)
+        merges = _typed(payload["merges"], "a list", "merges")
+        merges = tuple(tuple(_typed(m, "a list of integers", "merge")) for m in merges)
+        specials = _typed(payload["special_tokens"], "a JSON object", "special_tokens")
+        for name, token_id in specials.items():
+            _typed(token_id, "an integer", f"special_tokens[{name!r}]")
+        version = _typed(payload["version"], "an integer", "version")
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed model file: {exc}") from exc
     model = TokenizerModel(
         pieces=pieces, merges=merges, special_tokens=specials, version=version

@@ -488,7 +488,7 @@ class TestScore:
         )
         cfg = write_config(
             tmp_path / "cfg.json",
-            {"metric": "chrf_pp", "predictions": str(preds), "char_order": "3", "beta": 1},
+            {"metric": "chrf_pp", "predictions": str(preds), "char_order": 3, "beta": 1},
         )
         out = tmp_path / "out"
         assert run("score", "--config", cfg, "--out", out) == 0
@@ -496,6 +496,21 @@ class TestScore:
         expected = metrics.chrf_pp(metrics.read_prediction_pairs(preds), char_order=3, beta=1.0)
         assert payload["aggregate"] == expected.aggregate
         assert payload["aggregate"] != metrics.chrf_pp(metrics.read_prediction_pairs(preds)).aggregate
+
+    @pytest.mark.parametrize("char_order", ["3", 2.7], ids=["string", "float"])
+    def test_option_of_wrong_type_names_option(self, tmp_path, capsys, char_order):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            json.dumps({"id": "1", "hypothesis": "a", "references": ["a"]}) + "\n",
+            encoding="utf-8",
+        )
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"metric": "chrf_pp", "predictions": str(preds), "char_order": char_order},
+        )
+        assert run("score", "--config", cfg, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: char_order must be an integer, got {char_order!r}" in err
 
     def test_option_of_another_metric_rejected(self, tmp_path, capsys):
         preds = tmp_path / "labels.jsonl"

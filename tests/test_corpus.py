@@ -133,48 +133,6 @@ class TestIngestJsonLines:
             list(corpus.ingest(tmp_path / "x", "csv", language="ind", source="demo"))
 
 
-class TestCorpusStats:
-    def test_empty(self):
-        assert corpus.corpus_stats([]) == {}
-
-    def test_single_doc(self):
-        doc = CorpusDocument(id="0", text="halo dunia", language="ind", source="s")
-        stats = corpus.corpus_stats([doc])
-        assert stats == {"ind": corpus.LanguageStats(1, 2, 10)}
-
-    def test_matches_naive_recount(self):
-        rng = random.Random(5)
-        langs = ["ind", "sun", "jav"]
-        docs = [
-            CorpusDocument(
-                id=str(i),
-                text=" ".join("kata%d" % rng.randrange(40) for _ in range(rng.randrange(1, 12))),
-                language=rng.choice(langs),
-                source="s",
-            )
-            for i in range(50)
-        ]
-        stats = corpus.corpus_stats(docs)
-        for lang in langs:
-            mine = [d for d in docs if d.language == lang]
-            assert stats[lang].doc_count == len(mine)
-            assert stats[lang].whitespace_word_count == sum(len(d.text.split()) for d in mine)
-            assert stats[lang].codepoint_count == sum(len(d.text) for d in mine)
-
-    def test_permutation_invariant_and_merge_associative(self):
-        rng = random.Random(6)
-        docs = [
-            CorpusDocument(id=str(i), text="a bb ccc"[: rng.randrange(1, 9)].strip() or "a",
-                           language=rng.choice(["ind", "sun"]), source="s")
-            for i in range(30)
-        ]
-        shuffled = docs[:]
-        rng.shuffle(shuffled)
-        assert corpus.corpus_stats(docs) == corpus.corpus_stats(shuffled)
-        merged = corpus.merge_stats(corpus.corpus_stats(docs[:11]), corpus.corpus_stats(docs[11:]))
-        assert merged == corpus.corpus_stats(docs)
-
-
 class TestTaskRecord:
     def test_classification_requires_label(self):
         with pytest.raises(ValueError, match="label"):
@@ -248,12 +206,15 @@ ID_READERS = {
 
 
 @pytest.mark.parametrize("reader", sorted(ID_READERS))
-@pytest.mark.parametrize("bad_id", [None, 1.0, True], ids=["null", "float", "bool"])
+@pytest.mark.parametrize(
+    "bad_id", [None, 1.0, True, ""], ids=["null", "float", "bool", "empty"]
+)
 def test_record_id_must_be_string_or_integer(tmp_path, reader, bad_id):
     read, record = ID_READERS[reader]
     path = tmp_path / "records.jsonl"
     write_lines(path, [json.dumps(dict(record, id="a")), json.dumps(dict(record, id=bad_id))])
-    message = rf"records\.jsonl: line 2: id must be a string or an integer, got {bad_id!r}"
+    kind = "a non-empty string" if bad_id == "" else "a string"
+    message = rf"records\.jsonl: line 2: id must be {kind} or an integer, got {bad_id!r}"
     with pytest.raises(IngestError, match=message):
         read(path)
 

@@ -350,9 +350,9 @@ def malformed_records():
     for reader, case, change, message in (
         ("read_prediction_pairs", "non-list", {"references": "a"}, "must be a list"),
         ("read_mc1_items", "non-list", {"option_scores": 0.5}, "must be a list"),
-        ("read_likelihood_pairs", "non-numeric", {"benign_score": "x"}, "float"),
-        ("read_likelihood_pairs", "null-score", {"harmful_score": None}, "float"),
-        ("read_mc1_items", "non-numeric", {"option_scores": ["x", 0.1]}, "float"),
+        ("read_likelihood_pairs", "non-numeric", {"benign_score": "x"}, "must be a number"),
+        ("read_likelihood_pairs", "null-score", {"harmful_score": None}, "must be a number"),
+        ("read_mc1_items", "non-numeric", {"option_scores": ["x", 0.1]}, "must be a number"),
         ("read_mc1_items", "list-index", {"gold_index": [1]}, "int"),
     ):
         cases.append((reader, case, dict(READER_RECORDS[reader], id="2", **change), message))
