@@ -332,7 +332,10 @@ def main(argv=None) -> int:
         config["out"] = str(outdir)
         out = _Outputs(outdir)
         handler, _, _ = _COMMANDS[args.command]
-        inputs = handler(config, out)
+        try:
+            inputs = handler(config, out)
+        except ConfigError as exc:  # a handler's ConfigError is about a config value
+            raise ConfigError(f"{args.config}: {exc}") if args.config else exc
         _write_manifest(out, args.command, config, inputs)
     except Exception as exc:  # distilled to an exit code; partial outputs removed
         if out is not None:

@@ -305,7 +305,7 @@ def test_input_entry_without_path_names_key(tmp_path, capsys, command, key):
     cfg = write_config(tmp_path / "cfg.json", config)
     assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
-    assert f"error: {key} entry {{'source': 'identity', 'language': 'ind'}} has no 'path'" in err
+    assert f"error: {cfg}: {key} entry {{'source': 'identity', 'language': 'ind'}} has no 'path'" in err
 
 
 class TestBuildCollection:
@@ -526,6 +526,22 @@ class TestScore:
         assert run("score", "--config", cfg, "--out", out) == 1
         assert "beta" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_missing_key_names_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", {"metric": "chrf_pp"})
+        assert run("score", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {cfg}: missing required config key 'predictions'\n"
+
+    def test_integer_too_large_for_a_float_scores(self, tmp_path):
+        preds = tmp_path / "likelihood.jsonl"
+        line = '{"id": "1", "benign_score": 1' + "0" * 400 + ', "harmful_score": 0.5}\n'
+        preds.write_text(line, encoding="utf-8")
+        cfg = write_config(
+            tmp_path / "cfg.json", {"metric": "safety_preference", "predictions": str(preds)}
+        )
+        out = tmp_path / "out"
+        assert run("score", "--config", cfg, "--out", out) == 0
+        assert json.loads((out / "report.json").read_text(encoding="utf-8"))["aggregate"] == 100.0
 
     def test_unknown_metric(self, tmp_path, capsys):
         preds = tmp_path / "p.jsonl"

@@ -312,7 +312,7 @@ def test_corpus_entry_source_must_be_string(tmp_path, capsys, train_config):
     cfg.write_text(json.dumps(dict(train_config, corpus=[entry])), encoding="utf-8")
     assert main(["tokenizer-train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert f"error: corpus entry {entry!r}: source must be a string, got None" in err
+    assert f"error: {cfg}: corpus entry {entry!r}: source must be a string, got None" in err
 
 
 @pytest.mark.parametrize(

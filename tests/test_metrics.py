@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from langadapt import metrics
 from langadapt.corpus import IngestError
@@ -31,6 +32,11 @@ def random_sentence(rng, max_tokens=40):
 
 def prediction(pair_id, hypothesis, *references):
     return PredictionPair(id=pair_id, hypothesis=hypothesis, references=tuple(references))
+
+
+# Tiny vocabularies with many repeated tokens: long runs of equal characters
+# and words stress n-gram clipping and every LCS tie.
+TINY_TEXT = st.lists(st.sampled_from(["a", "b", "ab", "aab"]), max_size=40).map(" ".join)
 
 
 class TestWeightedF1:
@@ -85,6 +91,26 @@ class TestChrfPP:
         for pair in pairs:
             expected = naive_chrf(pair.hypothesis, pair.references[0])
             assert report.per_example[pair.id] == pytest.approx(expected, abs=1e-4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hyp=TINY_TEXT,
+        ref=TINY_TEXT,
+        other=TINY_TEXT,
+        char_order=st.integers(1, 6),
+        word_order=st.integers(1, 3),
+    )
+    @example(hyp="", ref="a b", other="", char_order=6, word_order=2)
+    @example(hyp="a b", ref="", other="", char_order=6, word_order=2)
+    @example(hyp="", ref="", other="ab", char_order=6, word_order=2)
+    @example(hyp="aab", ref="ab a", other="b", char_order=6, word_order=2)
+    def test_tiny_vocabulary_matches_naive_oracle(self, hyp, ref, other, char_order, word_order):
+        orders = {"char_order": char_order, "word_order": word_order}
+        single = chrf_pp([prediction("1", hyp, ref)], **orders).per_example["1"]
+        assert single == pytest.approx(naive_chrf(hyp, ref, **orders), abs=1e-4)
+        multi = chrf_pp([prediction("1", hyp, ref, other)], **orders).per_example["1"]
+        expected = max(naive_chrf(hyp, ref, **orders), naive_chrf(hyp, other, **orders))
+        assert multi == pytest.approx(expected, abs=1e-4)
 
     def test_multi_reference_takes_best(self):
         single = chrf_pp([prediction("1", "kucing makan", "kucing makan")]).aggregate
@@ -174,7 +200,18 @@ class TestRougeL:
         report = rouge_l(pairs)
         for pair in pairs:
             expected = naive_rouge_l(pair.hypothesis, pair.references[0])
-            assert report.per_example[pair.id] == pytest.approx(expected, abs=1e-4)
+            assert report.per_example[pair.id] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(hyp=TINY_TEXT, ref=TINY_TEXT, other=TINY_TEXT)
+    @example(hyp="", ref="a b", other="")
+    @example(hyp="a b", ref="", other="")
+    @example(hyp="aab", ref="ab a", other="b")
+    def test_tiny_vocabulary_equals_naive_oracle(self, hyp, ref, other):
+        single = rouge_l([prediction("1", hyp, ref)]).per_example["1"]
+        assert single == naive_rouge_l(hyp, ref)
+        multi = rouge_l([prediction("1", hyp, ref, other)]).per_example["1"]
+        assert multi == max(single, naive_rouge_l(hyp, other))
 
 
 class TestMc1Accuracy:
@@ -211,6 +248,10 @@ class TestMc1Accuracy:
             items = [MC1Item("ok", (0.1, 0.9), 1), MC1Item("bad", (bad, 1.0), 1)]
             with pytest.raises(ValueError, match="bad"):
                 mc1_accuracy(items)
+
+    def test_integer_too_large_for_a_float_is_finite(self):
+        items = [MC1Item("1", (0.5, 10**400, 0.9), 1), MC1Item("2", (10**400, 10**400 + 1), 0)]
+        assert mc1_accuracy(items).per_example == {"1": 1.0, "2": 0.0}
 
     def test_monotone_transform_invariance(self):
         rng = random.Random(43)
@@ -256,6 +297,10 @@ class TestSafetyPreference:
             LikelihoodPair(p.id, p.benign_score + 7.5, p.harmful_score + 7.5) for p in pairs
         ]
         assert safety_preference(shifted).aggregate == safety_preference(pairs).aggregate
+
+    def test_integer_too_large_for_a_float_is_finite(self):
+        pairs = [LikelihoodPair("1", 10**400, 0.5), LikelihoodPair("2", 0.5, 10**400)]
+        assert safety_preference(pairs).per_example == {"1": 1.0, "2": 0.0}
 
     def test_non_finite_names_id(self):
         pairs = [LikelihoodPair("ok", -1.0, -2.0), LikelihoodPair("bad", float("nan"), -2.0)]
