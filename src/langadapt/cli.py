@@ -23,10 +23,14 @@ from . import __version__, collection, corpus, metrics, tokenizer, vocab_adapt
 # Config keys map to the JSON type (a ``corpus._typed`` kind) they take.
 _STR, _INT, _NUM, _FILES = "a string", "an integer", "a number", "a string or a list"
 _GLOBAL_KEYS = {"seed": _INT, "threads": _INT, "out": _STR}
-# Keys of a ``corpus``/``records`` entry object, each a string; all but
-# ``path`` may also be given once at the top level.
-_ENTRY_KEYS = ("path", "format", "language", "source")
-_CORPUS_KEYS = {"corpus": _FILES, **dict.fromkeys(_ENTRY_KEYS[1:], _STR)}
+# Keys of a ``corpus``/``records`` entry object, each a string; a ``corpus``
+# entry's keys but ``path`` may also be given once at the top level. Records
+# are always JSON lines, so their entries take no ``format``.
+_ENTRY_KEYS = {
+    "corpus": ("path", "format", "language", "source"),
+    "records": ("path", "language", "source"),
+}
+_CORPUS_KEYS = {"corpus": _FILES, **dict.fromkeys(_ENTRY_KEYS["corpus"][1:], _STR)}
 # metric -> (reader, {option: kind}). Both names are looked up on
 # ``metrics`` at call time, so wrappers set on the module after import apply.
 _SCORERS = {
@@ -59,13 +63,14 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         config = corpus._load_json(args.config, ConfigError)
         kinds = _COMMANDS[args.command][2] | _GLOBAL_KEYS
         try:
-            unknown = set(corpus._typed(config, "a JSON object", "config")) - set(kinds)
-            if unknown:
-                raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
-            for key, value in config.items():
+            for key, value in corpus._object(config, kinds, f"{args.command} config").items():
                 corpus._typed(value, kinds[key], key)
+            if config.get("threads", 1) < 1:
+                raise ValueError("threads must be >= 1")
         except ValueError as exc:
             raise ConfigError(f"{args.config}: {exc}") from exc
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     for flag in _GLOBAL_KEYS:
         value = getattr(args, flag)
         if value is not None:
@@ -73,8 +78,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     config.setdefault("seed", 0)
     config.setdefault("threads", os.cpu_count() or 1)
     config.setdefault("out", "out")
-    if config["threads"] < 1:
-        raise ConfigError("threads must be >= 1")
     return config
 
 
@@ -96,9 +99,8 @@ def _input_files(config: dict, key: str) -> list[dict]:
         if not isinstance(entry, dict) or "path" not in entry:
             raise ConfigError(f"{key} entry {entry!r} has no 'path'")
         try:
-            for field in _ENTRY_KEYS:
-                if field in entry:
-                    corpus._typed(entry[field], _STR, field)
+            for field, value in corpus._object(entry, _ENTRY_KEYS[key], "entry").items():
+                corpus._typed(value, _STR, field)
         except ValueError as exc:
             raise ConfigError(f"{key} entry {entry!r}: {exc}") from exc
         path = entry["path"]
@@ -246,16 +248,21 @@ def _cmd_build_collection(config: dict, out: _Outputs) -> list:
             entry["path"], language=entry["language"], source=entry["source"]
         )
     ]
-    instances, manifest = collection.build_collection(registry, records, plan)
+    instances, per_source = collection.build_collection(registry, records, plan)
     targets = plan.target_totals or {}
     written = {}
     for phase, selected in zip(("phase1", "phase2"), collection.split_phases(instances)):
         if phase in targets:
             selected = collection.subsample_to_target(selected, targets[phase], plan.seed)
         written[phase] = collection.write_instances_jsonl(selected, out.path(f"{phase}.jsonl"))
-    payload = manifest.to_json_dict()
-    payload["written_per_phase"] = written
-    out.write_json("collection_manifest.json", payload)
+    manifest = {
+        "per_source": per_source,
+        "plan": plan.to_json_dict(),
+        "seed": plan.seed,
+        "version": __version__,
+        "written_per_phase": written,
+    }
+    out.write_json("collection_manifest.json", manifest)
     return [templates_path, plan_path] + [entry["path"] for entry in record_files]
 
 

@@ -14,15 +14,13 @@ import hashlib
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
-from . import __version__
-from .corpus import TaskRecord, TaskType, _check_language, _load_json, _typed
+from .corpus import TaskRecord, TaskType, _check_language, _load_json, _object, _typed
 
 __all__ = [
-    "BuildManifest",
     "InstructionInstance",
     "PHASE1_TASK_TYPES",
     "Phase",
@@ -59,7 +57,10 @@ PHASE1_TASK_TYPES = frozenset(
 )
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
-_TEMPLATE_KEYS = ("id", "task_type", "input_pattern", "target_pattern", "language")
+
+
+def _field_names(cls) -> list[str]:
+    return [field.name for field in fields(cls)]
 
 
 class RenderError(ValueError):
@@ -151,11 +152,12 @@ class TemplateRegistry:
         entries = _load_json(path, PlanError)
         if not isinstance(entries, list):
             raise PlanError(f"{path}: template file must contain a JSON array")
+        keys = _field_names(PromptTemplate)
         templates = []
         for index, entry in enumerate(entries):
             try:
-                entry = _typed(entry, "a JSON object", "template")
-                templates.append(PromptTemplate(**{key: entry[key] for key in _TEMPLATE_KEYS}))
+                entry = _object(entry, keys, "template")
+                templates.append(PromptTemplate(**{key: entry[key] for key in keys}))
             except KeyError as exc:
                 raise PlanError(f"{path}: template {index}: missing key {exc}") from exc
             except ValueError as exc:
@@ -272,7 +274,8 @@ class SamplingPlan:
     def __post_init__(self) -> None:
         _typed(self.seed, "an integer", "seed")
         if self.target_totals is not None:
-            for phase, total in self.target_totals.items():
+            totals = _typed(self.target_totals, "a JSON object", "target_totals")
+            for phase, total in totals.items():
                 Phase(phase)
                 if _typed(total, "an integer", f"target_totals[{phase!r}]") < 0:
                     raise ValueError("target totals must be >= 0")
@@ -282,23 +285,16 @@ class SamplingPlan:
         """Load a plan file; any malformed entry raises :class:`PlanError` naming it."""
         payload = _load_json(path, PlanError)
         try:
-            payload = _typed(payload, "a JSON object", "sampling plan")
+            payload = _object(payload, _field_names(cls), "sampling plan")
             per_source = {}
             sources = _typed(payload.get("per_source", {}), "a JSON object", "per_source")
             for source, entry in sources.items():
-                entry = _typed(entry, "a JSON object", f"per_source[{source!r}]")
+                entry = _object(entry, _field_names(SourcePlan), f"per_source[{source!r}]")
                 try:
-                    per_source[source] = SourcePlan(
-                        upsample_factor=entry.get("upsample_factor", 1),
-                        cap=entry.get("cap"),
-                        phase=entry.get("phase", "phase1"),
-                    )
+                    per_source[source] = SourcePlan(**entry)
                 except ValueError as exc:
                     raise ValueError(f"per_source[{source!r}]: {exc}") from exc
-            totals = payload.get("target_totals")
-            if totals is not None:
-                totals = _typed(totals, "a JSON object", "target_totals")
-            return cls(per_source=per_source, target_totals=totals, seed=payload.get("seed", 0))
+            return cls(**dict(payload, per_source=per_source))
         except ValueError as exc:
             raise PlanError(f"{path}: {exc}") from exc
 
@@ -313,24 +309,6 @@ class SamplingPlan:
         }
 
 
-@dataclass(frozen=True)
-class BuildManifest:
-    """Per-source instance counts plus the plan that produced them."""
-
-    per_source: dict[str, int]
-    plan: dict
-    seed: int
-    version: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_source": dict(sorted(self.per_source.items())),
-            "plan": self.plan,
-            "seed": self.seed,
-            "version": self.version,
-        }
-
-
 def _hash64(seed: int, source: str, key: str) -> int:
     digest = hashlib.sha256(f"{seed}\x1f{source}\x1f{key}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -340,8 +318,10 @@ def build_collection(
     registry: TemplateRegistry,
     records: Iterable[TaskRecord],
     plan: SamplingPlan,
-) -> tuple[list[InstructionInstance], BuildManifest]:
+) -> tuple[list[InstructionInstance], dict[str, int]]:
     """Render every record and apply the plan's caps and upsampling factors.
+
+    Returns the instances and the instance count per source, source-sorted.
 
     The template for a record is chosen from the task type's id-sorted
     templates by a hash of (seed, source, record id), so the choice is stable
@@ -377,13 +357,8 @@ def build_collection(
         for copy_index in range(1, source_plan.upsample_factor):
             instances.append(replace(base, copy_index=copy_index))
 
-    manifest = BuildManifest(
-        per_source={s: n * plan.per_source[s].upsample_factor for s, n in sorted(taken.items())},
-        plan=plan.to_json_dict(),
-        seed=plan.seed,
-        version=__version__,
-    )
-    return instances, manifest
+    per_source = {s: n * plan.per_source[s].upsample_factor for s, n in sorted(taken.items())}
+    return instances, per_source
 
 
 def split_phases(

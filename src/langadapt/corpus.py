@@ -168,6 +168,14 @@ def _typed(value, kind: str, what: str):
     return value
 
 
+def _object(value, keys, what: str) -> dict:
+    """``value`` unchanged if it is a JSON object with no key outside ``keys``."""
+    unknown = sorted(_typed(value, "a JSON object", what).keys() - set(keys))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
+    return value
+
+
 def _record_id(path, lineno: int, value) -> str:
     """A JSON-lines record id as a string: a string as given, an integer in decimal.
 

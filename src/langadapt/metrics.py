@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .corpus import IngestError, _parse_json_line, _read_lines, _record_id, _typed, normalize
 
@@ -115,21 +115,27 @@ class MetricReport:
         return payload
 
 
-def _mean(values: Iterable[float], n: int) -> float:
-    return math.fsum(values) / n
-
-
 def _finite(score: float) -> bool:
     # A JSON integer of any size is finite; math.isfinite would overflow on it.
     return isinstance(score, int) or math.isfinite(score)
 
 
-def _check_unique_ids(items) -> None:
+def _check_examples(name: str, items: Sequence) -> None:
+    if not items:
+        raise ValueError(f"{name} requires at least one example")
     seen: set[str] = set()
     for item in items:
         if item.id in seen:
             raise ValueError(f"duplicate example id {item.id!r}")
         seen.add(item.id)
+
+
+def _mean_report(name: str, items: Sequence, score: Callable, scale: float = 1.0) -> MetricReport:
+    """``score(item)`` per example; the aggregate is ``scale`` times their exact mean."""
+    _check_examples(name, items)
+    per_example = {item.id: score(item) for item in items}
+    n = len(items)
+    return MetricReport(name, scale * (math.fsum(per_example.values()) / n), n, per_example)
 
 
 def weighted_f1(pairs: Sequence[LabeledPair]) -> MetricReport:
@@ -138,9 +144,7 @@ def weighted_f1(pairs: Sequence[LabeledPair]) -> MetricReport:
     Classes with zero gold support carry zero weight. Per-example entries
     are 1.0 for an exact label match and 0.0 otherwise.
     """
-    if not pairs:
-        raise ValueError("weighted_f1 requires at least one labeled pair")
-    _check_unique_ids(pairs)
+    _check_examples("weighted_f1", pairs)
     support: Counter[str] = Counter(p.gold_label for p in pairs)
     tp: Counter[str] = Counter()
     fp: Counter[str] = Counter()
@@ -223,21 +227,17 @@ def chrf_pp(
     1..char_order and word orders 1..word_order, then combined with F_beta
     (beta=2 weights recall). The aggregate is the macro average, in [0, 100].
     """
-    if not pairs:
-        raise ValueError("chrf_pp requires at least one prediction pair")
-    _check_unique_ids(pairs)
     if char_order < 1 or word_order < 1:
         raise ValueError("n-gram orders must be >= 1")
-    per_example = {}
-    for pair in pairs:
+
+    def score(pair: PredictionPair) -> float:
         hyp_grams = _chrf_grams(pair.hypothesis, char_order, word_order)
-        per_example[pair.id] = max(
+        return max(
             _chrf_pair(hyp_grams, _chrf_grams(ref, char_order, word_order), beta)
             for ref in pair.references
         )
-    return MetricReport(
-        "chrf_pp", _mean(per_example.values(), len(pairs)), len(pairs), per_example
-    )
+
+    return _mean_report("chrf_pp", pairs, score)
 
 
 def corpus_bleu(
@@ -254,9 +254,7 @@ def corpus_bleu(
     1/(2*h_n) where h_n is the hypothesis n-gram total. No per-example
     scores; the score is corpus-level by construction.
     """
-    if not pairs:
-        raise ValueError("corpus_bleu requires at least one prediction pair")
-    _check_unique_ids(pairs)
+    _check_examples("corpus_bleu", pairs)
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     if smoothing not in (SMOOTHING_NONE, SMOOTHING_ADD_EPS_EXP):
@@ -323,11 +321,8 @@ def rouge_l(pairs: Sequence[PredictionPair], beta: float = 1.2) -> MetricReport:
     reference, combined as (1+beta^2)PR / (R + beta^2 P). An empty hypothesis
     scores 0 for its pair.
     """
-    if not pairs:
-        raise ValueError("rouge_l requires at least one prediction pair")
-    _check_unique_ids(pairs)
-    per_example: dict[str, float] = {}
-    for pair in pairs:
+
+    def score(pair: PredictionPair) -> float:
         hyp_tokens = pair.hypothesis.split()
         best = 0.0
         for ref in pair.references:
@@ -339,10 +334,9 @@ def rouge_l(pairs: Sequence[PredictionPair], beta: float = 1.2) -> MetricReport:
             recall = lcs / len(ref_tokens)
             weighted = 100.0 * (1.0 + beta * beta) * precision * recall
             best = max(best, weighted / (recall + beta * beta * precision))
-        per_example[pair.id] = best
-    return MetricReport(
-        "rouge_l", _mean(per_example.values(), len(pairs)), len(pairs), per_example
-    )
+        return best
+
+    return _mean_report("rouge_l", pairs, score)
 
 
 def mc1_accuracy(items: Sequence[MC1Item]) -> MetricReport:
@@ -352,24 +346,17 @@ def mc1_accuracy(items: Sequence[MC1Item]) -> MetricReport:
     strictly monotone transform of an item's option scores. Non-finite scores
     raise ValueError naming the item id.
     """
-    if not items:
-        raise ValueError("mc1_accuracy requires at least one item")
-    _check_unique_ids(items)
-    per_example: dict[str, float] = {}
-    for item in items:
+
+    def score(item: MC1Item) -> float:
         if not all(map(_finite, item.option_scores)):
             raise ValueError(f"non-finite option score for item {item.id!r}")
         best = 0
-        for index, score in enumerate(item.option_scores):
-            if score > item.option_scores[best]:
+        for index, option in enumerate(item.option_scores):
+            if option > item.option_scores[best]:
                 best = index
-        per_example[item.id] = 1.0 if best == item.gold_index else 0.0
-    return MetricReport(
-        "mc1_accuracy",
-        100.0 * _mean(per_example.values(), len(items)),
-        len(items),
-        per_example,
-    )
+        return 1.0 if best == item.gold_index else 0.0
+
+    return _mean_report("mc1_accuracy", items, score, 100.0)
 
 
 def safety_preference(pairs: Sequence[LikelihoodPair]) -> MetricReport:
@@ -379,20 +366,13 @@ def safety_preference(pairs: Sequence[LikelihoodPair]) -> MetricReport:
     a pair leaves the result unchanged. Non-finite scores raise ValueError
     naming the pair id.
     """
-    if not pairs:
-        raise ValueError("safety_preference requires at least one likelihood pair")
-    _check_unique_ids(pairs)
-    per_example: dict[str, float] = {}
-    for pair in pairs:
+
+    def score(pair: LikelihoodPair) -> float:
         if not (_finite(pair.benign_score) and _finite(pair.harmful_score)):
             raise ValueError(f"non-finite likelihood score for pair {pair.id!r}")
-        per_example[pair.id] = 1.0 if pair.benign_score > pair.harmful_score else 0.0
-    return MetricReport(
-        "safety_preference",
-        100.0 * _mean(per_example.values(), len(pairs)),
-        len(pairs),
-        per_example,
-    )
+        return 1.0 if pair.benign_score > pair.harmful_score else 0.0
+
+    return _mean_report("safety_preference", pairs, score, 100.0)
 
 
 def match_verbalizer(

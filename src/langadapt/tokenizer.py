@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import CorpusDocument, _typed
+from .corpus import CorpusDocument, _load_json, _typed
 
 __all__ = [
     "FertilityReport",
@@ -477,11 +477,7 @@ def save_model(model: TokenizerModel, path) -> None:
 
 def load_model(path) -> TokenizerModel:
     """Load and validate a tokenizer model file."""
-    raw = Path(path).read_bytes()
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: not a valid tokenizer model file: {exc}") from exc
+    payload = _load_json(path, ValueError)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: model file must contain a JSON object")
     missing = {"version", "special_tokens", "pieces", "merges"} - payload.keys()

@@ -245,18 +245,18 @@ def test_criterion_06_collection_arithmetic(tmp_path):
             per_source={"identity": SourcePlan(upsample_factor=500, phase=Phase.PHASE2)},
             seed=7,
         )
-        instances, manifest = collection.build_collection(registry, identity, plan)
+        instances, per_source = collection.build_collection(registry, identity, plan)
         assert len(instances) == 62_500
-        assert manifest.per_source == {"identity": 62_500}
+        assert per_source == {"identity": 62_500}
 
         poems = _identity_fixture_records(7_223, "poems")
         poem_plan = SamplingPlan(
             per_source={"poems": SourcePlan(upsample_factor=20, phase=Phase.PHASE2)},
             seed=7,
         )
-        poem_instances, poem_manifest = collection.build_collection(registry, poems, poem_plan)
+        poem_instances, poem_per_source = collection.build_collection(registry, poems, poem_plan)
         assert len(poem_instances) == 144_460
-        assert poem_manifest.per_source == {"poems": 144_460}
+        assert poem_per_source == {"poems": 144_460}
 
         flat_plan = SamplingPlan(
             per_source={"identity": SourcePlan(upsample_factor=1, phase=Phase.PHASE2)},

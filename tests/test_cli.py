@@ -295,17 +295,31 @@ def collection_fixture(tmp_path, n_records, factor, source="identity"):
 
 
 @pytest.mark.parametrize(
-    "command, key", [("tokenizer-train", "corpus"), ("build-collection", "records")]
+    "command, key, extra, message",
+    [
+        ("tokenizer-train", "corpus", None, " has no 'path'"),
+        ("build-collection", "records", None, " has no 'path'"),
+        ("tokenizer-train", "corpus", {"langauge": "sun"}, ": entry has unknown keys ['langauge']"),
+        ("build-collection", "records", {"format": "json_lines"},
+         ": entry has unknown keys ['format']"),
+    ],
+    ids=["tokenizer-train-corpus", "build-collection-records", "misspelled-key", "records-format"],
 )
-def test_input_entry_without_path_names_key(tmp_path, capsys, command, key):
-    config = {"vocab_size": 300}
+def test_input_entry_without_path_names_key(tmp_path, capsys, command, key, extra, message):
     if command == "build-collection":
         config = json.loads(collection_fixture(tmp_path, 5, 1).read_text(encoding="utf-8"))
-    config[key] = [{"source": "identity", "language": "ind"}]
+        path = config["records"][0]["path"]
+    else:
+        config = {"vocab_size": 300, "language": "ind"}
+        path = tmp_path / "c.txt"
+        path.write_text("aaaa abab ab\n", encoding="utf-8")
+    entry = {"source": "identity", "language": "ind"}
+    if extra is not None:  # a complete entry, but for one key it does not take
+        entry = {"path": str(path), "source": "identity", **extra}
+    config[key] = [entry]
     cfg = write_config(tmp_path / "cfg.json", config)
     assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
-    err = capsys.readouterr().err
-    assert f"error: {cfg}: {key} entry {{'source': 'identity', 'language': 'ind'}} has no 'path'" in err
+    assert f"error: {cfg}: {key} entry {entry!r}{message}\n" == capsys.readouterr().err
 
 
 class TestBuildCollection:
@@ -393,13 +407,29 @@ class TestBuildCollection:
                 lambda p: {"per_source": {"identity": {"phase": "phase3"}}},
                 "per_source['identity']: 'phase3' is not a valid Phase",
             ),
+            (
+                "plan.json",
+                lambda p: {"per_source": {"identity": {"upsample_factr": 3}}},
+                "per_source['identity'] has unknown keys ['upsample_factr']",
+            ),
+            (
+                "plan.json",
+                lambda p: dict(p, target_total={"phase2": 3}),
+                "sampling plan has unknown keys ['target_total']",
+            ),
+            (
+                "templates.json",
+                lambda t: [dict(t[0], langauge="ind")],
+                "template 0: template has unknown keys ['langauge']",
+            ),
             ("build.json", lambda c: b'{"a": "\xff"}', "invalid UTF-8 at byte 7"),
             ("templates.json", lambda t: b'[\n"\xc3"]', "invalid UTF-8 at byte 3"),
             ("plan.json", lambda p: b"\xfe{}", "invalid UTF-8 at byte 0"),
         ],
         ids=[
             "missing-key", "entry-not-object", "duplicate-template-id", "per-source-list",
-            "factor-not-int", "unknown-phase", "config-utf8", "templates-utf8", "plan-utf8",
+            "factor-not-int", "unknown-phase", "misspelled-source-key", "misspelled-plan-key",
+            "unknown-template-key", "config-utf8", "templates-utf8", "plan-utf8",
         ],
     )
     def test_malformed_entry_names_file(self, tmp_path, capsys, name, edit, message):

@@ -192,9 +192,9 @@ class TestBuildCollection:
     def test_identity_plan_preserves_counts(self):
         records = [translation_record(str(i), "k%d" % i, "w%d" % i) for i in range(40)]
         plan = SamplingPlan(per_source={"mt": SourcePlan()}, seed=3)
-        instances, manifest = build_collection(self.registry(), records, plan)
+        instances, per_source = build_collection(self.registry(), records, plan)
         assert len(instances) == 40
-        assert manifest.per_source == {"mt": 40}
+        assert per_source == {"mt": 40}
         assert Counter((i.source, i.copy_index) for i in instances) == Counter(
             (("mt", 0), 40)
         ) or len(set((i.source,) for i in instances)) == 1
@@ -204,9 +204,9 @@ class TestBuildCollection:
         plan = SamplingPlan(
             per_source={"gen": SourcePlan(upsample_factor=7, phase=Phase.PHASE2)}, seed=1
         )
-        instances, manifest = build_collection(self.registry(), records, plan)
+        instances, per_source = build_collection(self.registry(), records, plan)
         assert len(instances) == 35
-        assert manifest.per_source == {"gen": 35}
+        assert per_source == {"gen": 35}
         per_record = Counter(i.input for i in instances)
         assert set(per_record.values()) == {7}
         copies = [i.copy_index for i in instances[:7]]

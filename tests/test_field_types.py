@@ -295,8 +295,10 @@ def train_config(tmp_path):
         ({"seed": 5.7}, "seed must be an integer, got 5.7"),
         ({"threads": "2"}, "threads must be an integer, got '2'"),
         ({"special_tokens": ["pad", "eos", "unk", 1]}, "special_tokens[3] must be a string, got 1"),
+        ({"threads": 0}, "threads must be >= 1"),
     ],
-    ids=["float-vocab-size", "bool-seed", "float-seed", "string-threads", "int-special"],
+    ids=["float-vocab-size", "bool-seed", "float-seed", "string-threads", "int-special",
+         "zero-threads"],
 )
 def test_coerced_config_field_names_file(tmp_path, capsys, train_config, change, message):
     cfg = tmp_path / "cfg.json"
@@ -304,6 +306,14 @@ def test_coerced_config_field_names_file(tmp_path, capsys, train_config, change,
     assert main(["tokenizer-train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert f"error: {cfg}: {message}\n" == capsys.readouterr().err
     assert not (tmp_path / "out" / "tokenizer.json").exists()
+
+
+def test_threads_flag_below_one_names_flag(tmp_path, capsys, train_config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(train_config), encoding="utf-8")
+    argv = ["tokenizer-train", "--config", str(cfg), "--threads", "0", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --threads must be >= 1\n"
 
 
 def test_corpus_entry_source_must_be_string(tmp_path, capsys, train_config):

@@ -197,7 +197,7 @@ class TestSerialization:
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ValueError, match="tokenizer model"):
+        with pytest.raises(ValueError, match="bad.json: invalid JSON"):
             tokenizer.load_model(path)
 
     def test_load_rejects_missing_keys(self, tmp_path):

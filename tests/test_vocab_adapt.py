@@ -1,8 +1,11 @@
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from langadapt import tokenizer, vocab_adapt
 from langadapt.corpus import CorpusDocument
@@ -38,6 +41,33 @@ def matrix_for(model, seed=0):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((model.piece_count, 8), dtype=np.float32)
     return EmbeddingMatrix.from_array(data, tokenizer.model_hash(model))
+
+
+def _embedding_file_bytes():
+    data = np.arange(6, dtype=np.float32).reshape(3, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "emb.bin"
+        save_embeddings(EmbeddingMatrix.from_array(data, "ab" * 16), path)
+        return path.read_bytes()
+
+
+EMBEDDING_FILE = _embedding_file_bytes()
+
+
+@st.composite
+def mutated_embedding_files(draw):
+    """A valid embedding file with one to three bytes flipped, runs inserted or tails cut."""
+    raw = bytearray(EMBEDDING_FILE)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(raw)))
+        edit = draw(st.sampled_from(["flip", "insert", "truncate"]))
+        if edit == "flip" and at < len(raw):
+            raw[at] ^= draw(st.integers(1, 255))
+        elif edit == "insert":
+            raw[at:at] = draw(st.binary(min_size=1, max_size=8))
+        else:
+            del raw[at:]
+    return bytes(raw)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +135,20 @@ class TestFileFormat:
         data[2] = np.nan
         with pytest.raises(ValueError, match="non-finite value in embedding row 1$"):
             save_embeddings(EmbeddingMatrix.from_array(data, "0" * 32), tmp_path / "x.bin")
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=mutated_embedding_files())
+    def test_mutated_file_loads_or_names_file(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "emb.bin"
+            path.write_bytes(raw)
+            try:
+                matrix = load_embeddings(path)
+            except EmbeddingFormatError as exc:
+                assert str(exc).startswith(f"{path}: "), str(exc)
+                return
+        assert len(raw) == 4 + 4 + 4 + 32 + matrix.data.nbytes
+        assert matrix.data.dtype == np.float32 and matrix.data.shape == (matrix.rows, matrix.dims)
 
     def test_save_accepts_float32_max_rows(self, tmp_path):
         big = np.finfo(np.float32).max
