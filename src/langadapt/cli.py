@@ -116,18 +116,19 @@ def _input_files(config: dict, key: str) -> list[dict]:
 
 def _ingest_all(files: list[dict]):
     # (source, id) pairs must stay unique across the whole run, not just
-    # within one file; collisions only happen when files share a source.
-    seen: set[tuple[str, str]] = set()
+    # within one file; collisions only happen when config entries share a
+    # source, so they are config errors.
+    first_path: dict[tuple[str, str], str] = {}
 
-    def checked(stream):
+    def checked(stream, path):
         for doc in stream:
             key = (doc.source, doc.id)
-            if key in seen:
-                raise corpus.IngestError(
-                    f"duplicate document id {doc.id!r} for source {doc.source!r} "
-                    "across corpus files"
+            if key in first_path:
+                raise ConfigError(
+                    f"{path}: duplicate document id {doc.id!r} for source "
+                    f"{doc.source!r}, also in {first_path[key]}"
                 )
-            seen.add(key)
+            first_path[key] = path
             yield doc
 
     for entry in files:
@@ -141,7 +142,8 @@ def _ingest_all(files: list[dict]):
                 entry["format"],
                 language=entry["language"],
                 source=entry["source"],
-            )
+            ),
+            entry["path"],
         )
         for entry in files
     ]

@@ -13,6 +13,12 @@ that contain its pair, and at each merge site adjusts only the two
 neighbouring pairs. A lazy max-heap of pair counts picks the next merge. The
 merges equal those of a full recount after every step.
 
+Encoding applies merges in learned order to each whitespace-free word and
+caches the result per word. A word keeps one list with the merge rank of
+each adjacent pair; the lowest rank is merged at its leftmost site, and only
+the two pairs next to that site are looked up again. Fertility encodes each
+distinct word once per language and counts whitespace bytes from lengths.
+
 Token ids are laid out as: special placeholders first, then the 256 single
 bytes, then one piece per learned merge. Because the base alphabet is the
 full byte range, every input is encodable and ``decode(encode(x)) == x``.
@@ -28,6 +34,7 @@ import re
 import weakref
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -155,21 +162,6 @@ def train_bpe(
     return model
 
 
-def _merge_word(ids: list[int], left: int, right: int, new_id: int) -> list[int]:
-    """Replace (left, right) occurrences left to right with ``new_id``."""
-    n = len(ids)
-    out: list[int] = []
-    i = 0
-    while i < n:
-        if ids[i] == left and i + 1 < n and ids[i + 1] == right:
-            out.append(new_id)
-            i += 2
-        else:
-            out.append(ids[i])
-            i += 1
-    return out
-
-
 def _learn_merges(
     word_counts: Counter[bytes],
     pieces: list[bytes],
@@ -286,16 +278,14 @@ def _learn_merges(
 
 
 class _Encoder:
-    """Merge-rank tables plus a per-word segmentation cache for one model."""
+    """Merge ranks plus a per-word segmentation cache for one model."""
 
-    __slots__ = ("_base", "_ranks", "_cache")
+    __slots__ = ("_base", "_ranks", "_none", "_cache")
 
     def __init__(self, model: TokenizerModel):
         self._base = model.byte_offset
-        self._ranks = {
-            pair: (rank, self._base + 256 + rank)
-            for rank, pair in enumerate(model.merges)
-        }
+        self._ranks = {pair: rank for rank, pair in enumerate(model.merges)}
+        self._none = len(model.merges)  # the rank of a pair that is no merge
         self._cache: dict[bytes, list[int]] = {}
 
     def encode_bytes(self, data: bytes) -> list[int]:
@@ -314,20 +304,25 @@ class _Encoder:
         cached = self._cache.get(word)
         if cached is not None:
             return cached
-        ranks = self._ranks
-        ids = [self._base + b for b in word]
-        while len(ids) > 1:
-            best: tuple[int, int, int, int] | None = None
-            prev = ids[0]
-            for cur in ids[1:]:
-                entry = ranks.get((prev, cur))
-                if entry is not None and (best is None or entry[0] < best[0]):
-                    best = (entry[0], entry[1], prev, cur)
-                prev = cur
-            if best is None:
+        base, get, none = self._base, self._ranks.get, self._none
+        ids = [base + b for b in word]
+        # ranks[i] is the merge rank of (ids[i], ids[i + 1]). A pair holding
+        # the id just minted ranks above the merge that minted it, so the
+        # other sites of that merge stay the minimum and are merged leftmost
+        # first: the left-to-right, non-overlapping replacement of BPE.
+        ranks = list(map(get, zip(ids, ids[1:]), repeat(none)))
+        while ranks:
+            r = min(ranks)
+            if r == none:
                 break
-            _, new_id, left, right = best
-            ids = _merge_word(ids, left, right, new_id)
+            i = ranks.index(r)
+            ids[i] = new = base + 256 + r
+            del ids[i + 1]
+            del ranks[i]
+            if i:
+                ranks[i - 1] = get((ids[i - 1], new), none)
+            if i < len(ranks):
+                ranks[i] = get((new, ids[i + 1]), none)
         if len(self._cache) >= _WORD_CACHE_LIMIT:
             self._cache.clear()
         self._cache[word] = ids
@@ -410,18 +405,27 @@ def fertility(
     """Measure per-language token counts of a document stream.
 
     ``tokens_per_word`` divides by whitespace word counts (``str.split``);
-    whitespace tokens are included in the numerator. Reports are sorted by
-    language code.
+    whitespace tokens are included in the numerator. Each ASCII whitespace
+    byte is one token, so those are counted from lengths, and each distinct
+    word is encoded once per language and weighted by its frequency. Reports
+    are sorted by language code.
     """
     encoder = _encoder_for(model)
-    acc: dict[str, list[int]] = {}
+    acc: dict[str, list] = {}
     for doc in docs:
-        entry = acc.setdefault(doc.language, [0, 0, 0])
+        data = doc.text.encode("utf-8")
+        words = data.split()
+        entry = acc.get(doc.language)
+        if entry is None:
+            entry = acc[doc.language] = [0, 0, 0, Counter()]
         entry[0] += 1
-        entry[1] += len(encoder.encode_bytes(doc.text.encode("utf-8")))
+        entry[1] += len(data) - sum(map(len, words))
         entry[2] += len(doc.text.split())
+        entry[3].update(words)
     if not acc:
         raise ValueError("fertility requires a non-empty document stream")
+    for entry in acc.values():
+        entry[1] += sum(freq * len(encoder._encode_word(w)) for w, freq in entry[3].items())
     return [
         FertilityReport(
             language=lang,
@@ -430,7 +434,7 @@ def fertility(
             tokens_per_doc=n_tokens / n_docs,
             tokens_per_word=(n_tokens / n_words) if n_words else 0.0,
         )
-        for lang, (n_docs, n_tokens, n_words) in sorted(acc.items())
+        for lang, (n_docs, n_tokens, n_words, _) in sorted(acc.items())
     ]
 
 
@@ -487,7 +491,10 @@ def load_model(path) -> TokenizerModel:
         pieces = _typed(payload["pieces"], "a list of strings", "pieces")
         pieces = tuple(base64.b64decode(entry, validate=True) for entry in pieces)
         merges = _typed(payload["merges"], "a list", "merges")
-        merges = tuple(tuple(_typed(m, "a list of integers", "merge")) for m in merges)
+        for rank, merge in enumerate(merges):
+            if len(_typed(merge, "a list of integers", "merge")) != 2:
+                raise ValueError(f"merge {rank} must be a pair of integers, got {merge!r}")
+        merges = tuple(map(tuple, merges))
         specials = _typed(payload["special_tokens"], "a JSON object", "special_tokens")
         for name, token_id in specials.items():
             _typed(token_id, "an integer", f"special_tokens[{name!r}]")

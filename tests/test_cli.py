@@ -87,6 +87,22 @@ class TestTokenizerTrain:
         assert run("tokenizer-train", "--config", config, "--out", tmp_path / "o") == 1
         assert "corpsu" in capsys.readouterr().err
 
+    def test_duplicate_id_across_files_names_both(self, tmp_path, capsys):
+        # Both files default to source "train"; plain-lines ids are line numbers.
+        first, second = tmp_path / "a" / "train.txt", tmp_path / "b" / "train.txt"
+        for path in (first, second):
+            path.parent.mkdir()
+            path.write_text("aku makan nasi\n", encoding="utf-8")
+        config = write_config(
+            tmp_path / "train.json",
+            {"corpus": [str(first), str(second)], "language": "ind", "vocab_size": 300},
+        )
+        assert run("tokenizer-train", "--config", config, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: {second}: duplicate document id '0' for source 'train', "
+            f"also in {first}\n"
+        )
+
 
 class TestFertility:
     def test_same_model_twice_zero_improvement(self, tmp_path, toy_corpus):

@@ -333,8 +333,12 @@ def test_corpus_entry_source_must_be_string(tmp_path, capsys, train_config):
         (lambda p: dict(p, version=True), "version must be an integer, got True"),
         (lambda p: dict(p, special_tokens=dict(p["special_tokens"], pad=0.0)),
          "special_tokens['pad'] must be an integer, got 0.0"),
+        (lambda p: dict(p, merges=[[3, 4, 5]] + p["merges"][1:]),
+         "merge 0 must be a pair of integers, got [3, 4, 5]"),
+        (lambda p: dict(p, merges=[[3]] + p["merges"][1:]),
+         "merge 0 must be a pair of integers, got [3]"),
     ],
-    ids=["float-merge-ids", "bool-version", "float-special-id"],
+    ids=["float-merge-ids", "bool-version", "float-special-id", "three-id-merge", "one-id-merge"],
 )
 def test_coerced_model_field_names_file(tmp_path, edit, message):
     path = tmp_path / "tokenizer.json"

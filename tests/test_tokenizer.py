@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -7,7 +8,9 @@ from langadapt import tokenizer
 from langadapt.corpus import CorpusDocument
 from langadapt.tokenizer import FertilityReport
 
-from oracles import naive_encode_bytes, naive_train_bpe
+from oracles import _split_words, naive_encode_bytes, naive_train_bpe
+
+ASCII_WS = b" \t\n\r\x0b\x0c"
 
 
 def docs_from(texts, language="ind"):
@@ -37,6 +40,27 @@ def tiny_alphabet_corpora(draw):
     run = st.builds(lambda ch, n: ch * n, st.sampled_from(alphabet), st.integers(1, 12))
     doc = st.lists(run, min_size=1, max_size=12).map("".join)
     return draw(st.lists(doc, min_size=1, max_size=4))
+
+
+# Runs of a, b or ab, 1-12 long, between ASCII whitespace bytes: models
+# trained on these learn merges such as (a, a), (aa, a) and (aa, aa), and
+# their merge sites sit side by side.
+tiny_alphabet_bytes = st.lists(
+    st.one_of(
+        st.builds(operator.mul, st.sampled_from([b"a", b"b", b"ab"]), st.integers(1, 12)),
+        st.sampled_from([bytes([c]) for c in ASCII_WS]),
+    ),
+    max_size=16,
+).map(b"".join)
+
+# Text over a tiny alphabet and whitespace. str.split also splits on U+00A0,
+# U+3000, U+0085 and U+001C, which bytes.split keeps inside words.
+mixed_whitespace_text = st.lists(
+    st.sampled_from(
+        ["a", "b", "ab", "é", *ASCII_WS.decode(), "\u00a0", "\u3000", "\x85", "\x1c"]
+    ),
+    max_size=30,
+).map("".join)
 
 
 class TestTrainBpe:
@@ -155,6 +179,19 @@ class TestEncodeDecode:
                 list(model.pieces), list(model.merges), model.byte_offset, data
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(tiny_alphabet_bytes, min_size=1, max_size=4),
+        vocab_size=st.integers(260, 300),
+        data=tiny_alphabet_bytes,
+    )
+    def test_tiny_alphabet_matches_naive_merge_replay(self, texts, vocab_size, data):
+        assume(any(text.split() for text in texts))
+        model = tokenizer.train_bpe(docs_from([t.decode("ascii") for t in texts]), vocab_size)
+        assert tokenizer.encode_bytes(model, data) == naive_encode_bytes(
+            list(model.pieces), list(model.merges), model.byte_offset, data
+        )
+
     def test_decode_out_of_range(self, model):
         with pytest.raises(IndexError, match="out of range"):
             tokenizer.decode(model, [model.piece_count])
@@ -234,6 +271,54 @@ class TestFertility:
             assert reports[lang].total_tokens == total
             assert reports[lang].tokens_per_doc == total / len(mine)
             assert reports[lang].tokens_per_word == total / words
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        drawn=st.lists(
+            st.tuples(st.sampled_from(["ind", "sun"]), mixed_whitespace_text),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_matches_independent_recount(self, drawn):
+        model = tokenizer.train_bpe(
+            docs_from(["aaaa abab ab éé aé\u00a0ab a\u3000b\x85a ab\x1cab aaa"]), 275
+        )
+        docs = [
+            CorpusDocument(id=str(i), text=text, language=lang, source="s")
+            for i, (lang, text) in enumerate(drawn)
+        ]
+        pieces, merges, k = list(model.pieces), list(model.merges), model.byte_offset
+        expected = {}
+        for doc in docs:
+            words = _split_words(doc.text)
+            tokens = sum(len(naive_encode_bytes(pieces, merges, k, w)) for w in words)
+            tokens += sum(byte in ASCII_WS for byte in doc.text.encode("utf-8"))
+            entry = expected.setdefault(doc.language, [0, 0, 0])
+            entry[0] += 1
+            entry[1] += tokens
+            entry[2] += len(doc.text.split())
+        reports = tokenizer.fertility(model, docs)
+        assert [
+            (r.language, r.doc_count, r.total_tokens, r.tokens_per_word) for r in reports
+        ] == [
+            (lang, n_docs, n_tokens, n_tokens / n_words if n_words else 0.0)
+            for lang, (n_docs, n_tokens, n_words) in sorted(expected.items())
+        ]
+
+    def test_results_do_not_depend_on_cache_eviction(self, monkeypatch):
+        rng = random.Random(5)
+        model = tokenizer.train_bpe(docs_from(["aku makan nasi", "nasi goreng makan"]), 275)
+        texts = [" ".join(random_words(rng, n_types=12, n_words=20)) for _ in range(20)]
+        docs = docs_from(texts[:10]) + docs_from(texts[10:], language="sun")
+
+        def run():
+            tokenizer._ENCODERS.pop(model, None)
+            return tokenizer.fertility(model, docs), [tokenizer.encode(model, t) for t in texts]
+
+        cached = run()
+        monkeypatch.setattr(tokenizer, "_WORD_CACHE_LIMIT", 1)
+        assert run() == cached
 
     def test_empty_stream(self):
         model = tokenizer.train_bpe(docs_from(["ab ab"]), 260)
