@@ -13,14 +13,18 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
 
 from .corpus import TaskRecord, TaskType, _check_language, _load_json, _object, _typed
 
 __all__ = [
+    "CopyGroup",
+    "InstanceStream",
     "InstructionInstance",
     "PHASE1_TASK_TYPES",
     "Phase",
@@ -126,6 +130,39 @@ class InstructionInstance:
             "phase": self.phase.value,
             "copy_index": self.copy_index,
         }
+
+
+class CopyGroup(NamedTuple):
+    """One rendered record and the ascending copy indices of it in a stream."""
+
+    instance: InstructionInstance
+    copies: Sequence[int]
+
+
+class InstanceStream:
+    """Instances in stream order, held as copy groups.
+
+    ``len`` counts copies, and iterating yields every copy as an instance.
+    The pipeline below (:func:`split_phases`, :func:`subsample_to_target`,
+    :func:`write_instances_jsonl`) works on ``groups`` and never builds the
+    copies, so its memory follows the records, not the upsampled stream.
+    """
+
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: tuple[CopyGroup, ...]):
+        self.groups = groups
+
+    def __len__(self) -> int:
+        return sum(len(group.copies) for group in self.groups)
+
+    def __iter__(self) -> Iterator[InstructionInstance]:
+        for instance, copies in self.groups:
+            for copy_index in copies:
+                if copy_index == instance.copy_index:
+                    yield instance
+                else:
+                    yield replace(instance, copy_index=copy_index)
 
 
 class TemplateRegistry:
@@ -314,19 +351,28 @@ def _hash64(seed: int, source: str, key: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _position_ranks(seed: int, source: str, count: int) -> Iterator[int]:
+    """``_hash64(seed, source, str(pos))`` for each position in ``range(count)``."""
+    prefix = f"{seed}\x1f{source}\x1f".encode("utf-8")
+    sha256 = hashlib.sha256
+    for pos in range(count):
+        yield int.from_bytes(sha256(b"%b%d" % (prefix, pos)).digest()[:8], "big")
+
+
 def build_collection(
     registry: TemplateRegistry,
     records: Iterable[TaskRecord],
     plan: SamplingPlan,
-) -> tuple[list[InstructionInstance], dict[str, int]]:
-    """Render every record and apply the plan's caps and upsampling factors.
+) -> tuple[InstanceStream, dict[str, int]]:
+    """Render every kept record once and attach its plan's copy range.
 
-    Returns the instances and the instance count per source, source-sorted.
+    Returns the stream, one group ``(instance, range(upsample_factor))`` per
+    kept record, and the instance count per source, source-sorted.
 
     The template for a record is chosen from the task type's id-sorted
     templates by a hash of (seed, source, record id), so the choice is stable
     under insertions or removals elsewhere in the stream. Caps keep the first
-    ``cap`` records in (source, record id) order. Output is ordered by
+    ``cap`` records in (source, record id) order. The stream is ordered by
     (source, record id, copy_index).
     """
     rows: list[TaskRecord] = []
@@ -342,7 +388,7 @@ def build_collection(
     rows.sort(key=lambda r: (r.source, r.id))
 
     taken: Counter[str] = Counter()
-    instances: list[InstructionInstance] = []
+    groups: list[CopyGroup] = []
     for record in rows:
         source_plan = plan.per_source[record.source]
         if source_plan.cap is not None and taken[record.source] >= source_plan.cap:
@@ -353,80 +399,97 @@ def build_collection(
             raise PlanError(f"no templates registered for task type {record.task_type.value!r}")
         template = templates[_hash64(plan.seed, record.source, record.id) % len(templates)]
         base = render_template(template, record, phase=source_plan.phase)
-        instances.append(base)
-        for copy_index in range(1, source_plan.upsample_factor):
-            instances.append(replace(base, copy_index=copy_index))
+        groups.append(CopyGroup(base, range(source_plan.upsample_factor)))
 
     per_source = {s: n * plan.per_source[s].upsample_factor for s, n in sorted(taken.items())}
-    return instances, per_source
+    return InstanceStream(tuple(groups)), per_source
 
 
-def split_phases(
-    instances: Iterable[InstructionInstance],
-) -> tuple[list[InstructionInstance], list[InstructionInstance]]:
-    """Partition instances by phase, preserving order within each phase."""
-    phase1: list[InstructionInstance] = []
-    phase2: list[InstructionInstance] = []
-    for instance in instances:
-        (phase1 if instance.phase is Phase.PHASE1 else phase2).append(instance)
-    return phase1, phase2
+def split_phases(instances: InstanceStream) -> tuple[InstanceStream, InstanceStream]:
+    """Partition the groups by phase, preserving order within each phase."""
+    phase1: list[CopyGroup] = []
+    phase2: list[CopyGroup] = []
+    for group in instances.groups:
+        (phase1 if group.instance.phase is Phase.PHASE1 else phase2).append(group)
+    return InstanceStream(tuple(phase1)), InstanceStream(tuple(phase2))
 
 
-def subsample_to_target(
-    instances: Sequence[InstructionInstance], target: int, seed: int
-) -> list[InstructionInstance]:
+def subsample_to_target(instances: InstanceStream, target: int, seed: int) -> InstanceStream:
     """Select exactly min(target, n) instances, stratified by source.
 
     Source quotas are proportional to source counts with largest-remainder
-    rounding (ties broken by larger source, then source name). Within a
-    source, instances are ranked by a hash of (seed, source, position) and
-    the lowest-ranked fill the quota; the selection is emitted in original
-    stream order. Deterministic for a fixed seed on any platform.
+    rounding (ties broken by larger source, then source name). An instance's
+    position within its source is its index among that source's copies in
+    stream order; positions are ranked by a hash of (seed, source, position)
+    and the lowest-ranked fill the quota. The selection keeps stream order.
+    Deterministic for a fixed seed on any platform.
     """
     if target < 0:
         raise ValueError("target must be >= 0")
-    items = list(instances)
-    if target >= len(items):
-        return items
+    n = len(instances)
+    if target >= n:
+        return instances
     if target == 0:
-        return []
-    by_source: dict[str, list[int]] = {}
-    for index, instance in enumerate(items):
-        by_source.setdefault(instance.source, []).append(index)
-    n = len(items)
+        return InstanceStream(())
+    counts: Counter[str] = Counter()
+    for instance, copies in instances.groups:
+        counts[instance.source] += len(copies)
     quotas: dict[str, int] = {}
     remainders: list[tuple[int, int, str]] = []
     assigned = 0
-    for source in sorted(by_source):
-        count = len(by_source[source])
-        exact = target * count
+    for source in sorted(counts):
+        exact = target * counts[source]
         quotas[source] = exact // n
         assigned += exact // n
-        remainders.append((-(exact % n), -count, source))
+        remainders.append((-(exact % n), -counts[source], source))
     remainders.sort()
     for i in range(target - assigned):
         quotas[remainders[i][2]] += 1
 
-    chosen: list[int] = []
-    for source, indices in by_source.items():
-        quota = quotas[source]
-        if quota >= len(indices):
-            chosen.extend(indices)
+    # Imported here, not at the top, so that `import langadapt.cli` loads numpy
+    # only after this module (through vocab_adapt): loading it first leaves
+    # 1.3 MB more resident in every CLI process (34.1 against 32.8 MB after
+    # the import, Python 3.11).
+    import numpy as np
+
+    # Ascending kept positions of each source that loses some; a stable sort
+    # of the ranks keeps the lower position first among ties.
+    kept: dict[str, list[int]] = {}
+    for source, count in counts.items():
+        if quotas[source] < count:
+            ranks = np.fromiter(_position_ranks(seed, source, count), np.uint64, count)
+            order = np.argsort(ranks, kind="stable")
+            kept[source] = np.sort(order[: quotas[source]]).tolist()
+    offsets: Counter[str] = Counter()
+    groups: list[CopyGroup] = []
+    for group in instances.groups:
+        source = group.instance.source
+        start = offsets[source]
+        offsets[source] += len(group.copies)
+        if source not in kept:
+            groups.append(group)
             continue
-        ranked = sorted(
-            range(len(indices)), key=lambda pos: _hash64(seed, source, str(pos))
-        )
-        chosen.extend(indices[pos] for pos in ranked[:quota])
-    chosen.sort()
-    return [items[i] for i in chosen]
+        positions = kept[source]
+        lo = bisect_left(positions, start)
+        hi = bisect_left(positions, offsets[source], lo)
+        if lo < hi:
+            copies = tuple(group.copies[pos - start] for pos in positions[lo:hi])
+            groups.append(CopyGroup(group.instance, copies))
+    return InstanceStream(tuple(groups))
 
 
-def write_instances_jsonl(instances: Iterable[InstructionInstance], path) -> int:
-    """Write instances as LF-terminated JSON lines; returns the line count."""
+def write_instances_jsonl(instances: InstanceStream, path) -> int:
+    """Write instances as LF-terminated JSON lines; returns the line count.
+
+    Each group's record is serialised once. ``copy_index`` is the last key,
+    so every copy's line is that serialisation up to the index, then the
+    copy's index and the closing brace.
+    """
     count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for instance in instances:
-            handle.write(json.dumps(instance.to_json_dict(), ensure_ascii=False))
-            handle.write("\n")
-            count += 1
+        for instance, copies in instances.groups:
+            line = json.dumps(instance.to_json_dict(), ensure_ascii=False)
+            head = line[: -len(str(instance.copy_index)) - 1]
+            handle.writelines(f"{head}{copy_index}}}\n" for copy_index in copies)
+            count += len(copies)
     return count

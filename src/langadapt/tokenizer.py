@@ -97,8 +97,11 @@ class TokenizerModel:
 def validate_model(model: TokenizerModel) -> None:
     """Check the structural invariants of a model; raise ValueError if broken."""
     k = len(model.special_tokens)
-    if model.version < 1:
-        raise ValueError(f"model version must be >= 1, got {model.version}")
+    if model.version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"model version must be {MODEL_FORMAT_VERSION}, got {model.version}")
+    missing = [name for name in REQUIRED_SPECIALS if name not in model.special_tokens]
+    if missing:
+        raise ValueError(f"special tokens {missing} are required")
     if sorted(model.special_tokens.values()) != list(range(k)):
         raise ValueError("special token ids must be exactly 0..len(specials)-1")
     if len(model.pieces) < k + 256:
@@ -489,7 +492,13 @@ def load_model(path) -> TokenizerModel:
         raise ValueError(f"{path}: model file missing keys {sorted(missing)}")
     try:
         pieces = _typed(payload["pieces"], "a list of strings", "pieces")
-        pieces = tuple(base64.b64decode(entry, validate=True) for entry in pieces)
+        decoded = []
+        for index, entry in enumerate(pieces):
+            try:
+                decoded.append(base64.b64decode(entry, validate=True))
+            except ValueError as exc:
+                raise ValueError(f"pieces[{index}] is not valid base64: {exc}") from exc
+        pieces = tuple(decoded)
         merges = _typed(payload["merges"], "a list", "merges")
         for rank, merge in enumerate(merges):
             if len(_typed(merge, "a list of integers", "merge")) != 2:

@@ -2,12 +2,15 @@
 
 These are deliberately slow, direct transcriptions of the documented
 behavior: the BPE trainer rescans every word each iteration, the encoder
-replays merges one by one over the whole sequence, and the metric oracles
-count n-grams with plain loops. None of them share code with the library
-paths they check.
+replays merges one by one over the whole sequence, the collection oracle
+builds one instance per copy, and the metric oracles count n-grams with
+plain loops. None of them share code with the library paths they check.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 
 def _split_words(text: str) -> list[bytes]:
@@ -163,3 +166,61 @@ def naive_rouge_l(hyp: str, ref: str, beta=1.2) -> float:
     precision = lcs / len(a)
     recall = lcs / len(b)
     return 100.0 * (1 + beta * beta) * precision * recall / (recall + beta * beta * precision)
+
+
+def _naive_hash64(seed, source, key):
+    digest = hashlib.sha256(f"{seed}\x1f{source}\x1f{key}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def _naive_subsample(instances, target, seed):
+    n = len(instances)
+    indices = {}
+    for index, instance in enumerate(instances):
+        indices.setdefault(instance.source, []).append(index)
+    quotas = {source: target * len(ix) // n for source, ix in indices.items()}
+    by_remainder = sorted(
+        indices, key=lambda s: (-(target * len(indices[s]) % n), -len(indices[s]), s)
+    )
+    for source in by_remainder[: target - sum(quotas.values())]:
+        quotas[source] += 1
+    chosen = []
+    for source, ix in indices.items():
+        ranked = sorted(range(len(ix)), key=lambda pos: _naive_hash64(seed, source, str(pos)))
+        chosen.extend(ix[pos] for pos in ranked[: quotas[source]])
+    return [instances[i] for i in sorted(chosen)]
+
+
+def naive_collection(registry, records, plan, out_dir):
+    """Build, split, subsample and write a collection one instance per copy.
+
+    Every copy is its own instance made with ``replace``; subsampling sorts
+    all hashed positions of a source; each line is one ``json.dumps``.
+    Writes ``phase1.jsonl`` and ``phase2.jsonl`` under ``out_dir`` and
+    returns the instance count per source.
+    """
+    from dataclasses import replace
+
+    from langadapt.collection import render_template
+
+    stream, per_source, kept = [], {}, {}
+    for record in sorted(records, key=lambda r: (r.source, r.id)):
+        source_plan = plan.per_source[record.source]
+        if source_plan.cap is not None and kept.get(record.source, 0) >= source_plan.cap:
+            continue
+        kept[record.source] = kept.get(record.source, 0) + 1
+        templates = registry.for_task(record.task_type)
+        template = templates[_naive_hash64(plan.seed, record.source, record.id) % len(templates)]
+        base = render_template(template, record, phase=source_plan.phase)
+        for copy_index in range(source_plan.upsample_factor):
+            stream.append(replace(base, copy_index=copy_index))
+        per_source[record.source] = per_source.get(record.source, 0) + source_plan.upsample_factor
+    targets = plan.target_totals or {}
+    for phase in ("phase1", "phase2"):
+        selected = [instance for instance in stream if instance.phase.value == phase]
+        if targets.get(phase, len(selected)) < len(selected):
+            selected = _naive_subsample(selected, targets[phase], plan.seed)
+        with open(out_dir / f"{phase}.jsonl", "w", encoding="utf-8", newline="\n") as handle:
+            for instance in selected:
+                handle.write(json.dumps(instance.to_json_dict(), ensure_ascii=False) + "\n")
+    return per_source

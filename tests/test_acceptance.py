@@ -289,7 +289,8 @@ def test_criterion_07_stratified_subsampling():
                     )
                 )
         random.Random(99).shuffle(instances)
-        selected = collection.subsample_to_target(instances, 100, seed=3)
+        groups = tuple(collection.CopyGroup(instance, (0,)) for instance in instances)
+        selected = collection.subsample_to_target(collection.InstanceStream(groups), 100, seed=3)
         counts = {}
         for instance in selected:
             counts[instance.source] = counts.get(instance.source, 0) + 1

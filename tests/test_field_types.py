@@ -348,6 +348,40 @@ def test_coerced_model_field_names_file(tmp_path, edit, message):
     assert str(caught.value).startswith(f"{path}: malformed model file: {message}")
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: dict(p, version=2), "model version must be 1, got 2"),
+        (lambda p: dict(p, version=0), "model version must be 1, got 0"),
+        (lambda p: dict(p, special_tokens={"x": 0, "eos": 1, "unk": 2}),
+         "special tokens ['pad'] are required"),
+    ],
+    ids=["version-above", "version-below", "pad-missing"],
+)
+def test_model_train_bpe_cannot_write_names_file(tmp_path, edit, message):
+    path = tmp_path / "tokenizer.json"
+    path.write_text(json.dumps(edit(_model_payload())), encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        tokenizer.load_model(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "piece, reason",
+    [("YQ", "Incorrect padding"), ("!!", "Only base64 data is allowed")],
+    ids=["unpadded", "not-base64"],
+)
+def test_model_bad_base64_piece_names_index(tmp_path, piece, reason):
+    payload = _model_payload()
+    payload["pieces"][0] = piece
+    path = tmp_path / "tokenizer.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        tokenizer.load_model(path)
+    prefix = f"{path}: malformed model file: pieces[0] is not valid base64: "
+    assert str(caught.value) == prefix + reason
+
+
 def test_score_options_reach_metric_unconverted(tmp_path, monkeypatch):
     preds = tmp_path / "preds.jsonl"
     _write_jsonl(preds, {"id": "1", "hypothesis": "kucing makan", "references": ["kucing tidur"]})
