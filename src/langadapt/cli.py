@@ -201,9 +201,9 @@ def _cmd_fertility(config: dict, out: _Outputs) -> list:
     model_a = tokenizer.load_model(path_a)
     model_b = tokenizer.load_model(path_b)
     files = _input_files(config, "corpus")
-    docs = list(_ingest_all(files))
-    reports_a = {r.language: r for r in tokenizer.fertility(model_a, docs)}
-    reports_b = {r.language: r for r in tokenizer.fertility(model_b, docs)}
+    words = tokenizer.count_words(_ingest_all(files))
+    reports_a = {r.language: r for r in tokenizer.fertility(model_a, words)}
+    reports_b = {r.language: r for r in tokenizer.fertility(model_b, words)}
     comparison = {}
     for language in sorted(reports_a):
         a, b = reports_a[language], reports_b[language]

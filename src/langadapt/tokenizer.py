@@ -16,8 +16,9 @@ merges equal those of a full recount after every step.
 Encoding applies merges in learned order to each whitespace-free word and
 caches the result per word. A word keeps one list with the merge rank of
 each adjacent pair; the lowest rank is merged at its leftmost site, and only
-the two pairs next to that site are looked up again. Fertility encodes each
-distinct word once per language and counts whitespace bytes from lengths.
+the two pairs next to that site are looked up again. Only :func:`count_words`
+splits text into words, for training and fertility alike; fertility encodes
+each distinct word once and counts whitespace bytes from lengths.
 
 Token ids are laid out as: special placeholders first, then the 256 single
 bytes, then one piece per learned merge. Because the base alphabet is the
@@ -32,8 +33,8 @@ import heapq
 import json
 import re
 import weakref
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -45,6 +46,7 @@ __all__ = [
     "REQUIRED_SPECIALS",
     "TokenizerModel",
     "compare_fertility",
+    "count_words",
     "decode",
     "encode",
     "encode_bytes",
@@ -146,12 +148,12 @@ def train_bpe(
             f"vocab_size must be at least {min_size} "
             f"(256 bytes + {len(names)} specials), got {vocab_size}"
         )
-    word_counts: Counter[bytes] = Counter()
-    saw_docs = False
-    for doc in docs:
-        saw_docs = True
-        word_counts.update(doc.text.encode("utf-8").split())
-    if not saw_docs or not word_counts:
+    # Summed into the first language's counter in place; a copy doubles memory.
+    counters = (counts for _, _, counts in count_words(docs).values())
+    word_counts = next(counters, Counter())
+    for counts in counters:
+        word_counts.update(counts)
+    if not word_counts:
         raise ValueError("training corpus is empty")
     pieces = [f"<{name}>".encode("utf-8") for name in names]
     pieces.extend(bytes([i]) for i in range(256))
@@ -163,6 +165,19 @@ def train_bpe(
     )
     validate_model(model)
     return model
+
+
+def count_words(docs: Iterable[CorpusDocument]) -> dict[str, list]:
+    """Map each language of a stream to ``[documents, UTF-8 bytes, Counter of
+    bytes.split words]`` in one pass; memory follows distinct words."""
+    table: defaultdict[str, list] = defaultdict(lambda: [0, 0, Counter()])
+    for doc in docs:
+        data = doc.text.encode("utf-8")
+        entry = table[doc.language]
+        entry[0] += 1
+        entry[1] += len(data)
+        entry[2].update(data.split())
+    return dict(table)
 
 
 def _learn_merges(
@@ -393,52 +408,34 @@ class FertilityReport:
     tokens_per_word: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "language": self.language,
-            "doc_count": self.doc_count,
-            "total_tokens": self.total_tokens,
-            "tokens_per_doc": self.tokens_per_doc,
-            "tokens_per_word": self.tokens_per_word,
-        }
+        return asdict(self)
 
 
-def fertility(
-    model: TokenizerModel, docs: Iterable[CorpusDocument]
-) -> list[FertilityReport]:
-    """Measure per-language token counts of a document stream.
+def fertility(model: TokenizerModel, words: dict[str, list]) -> list[FertilityReport]:
+    """Measure per-language token counts from a :func:`count_words` table.
 
-    ``tokens_per_word`` divides by whitespace word counts (``str.split``);
-    whitespace tokens are included in the numerator. Each ASCII whitespace
-    byte is one token, so those are counted from lengths, and each distinct
-    word is encoded once per language and weighted by its frequency. Reports
-    are sorted by language code.
+    ``tokens_per_word`` divides by ``str.split`` word counts, taken from the
+    distinct byte words (ASCII whitespace is also ``str`` whitespace), and
+    counts each ASCII whitespace byte as one token. Each distinct word is
+    encoded once, weighted by its frequency. Reports are sorted by language.
     """
-    encoder = _encoder_for(model)
-    acc: dict[str, list] = {}
-    for doc in docs:
-        data = doc.text.encode("utf-8")
-        words = data.split()
-        entry = acc.get(doc.language)
-        if entry is None:
-            entry = acc[doc.language] = [0, 0, 0, Counter()]
-        entry[0] += 1
-        entry[1] += len(data) - sum(map(len, words))
-        entry[2] += len(doc.text.split())
-        entry[3].update(words)
-    if not acc:
+    if not words:
         raise ValueError("fertility requires a non-empty document stream")
-    for entry in acc.values():
-        entry[1] += sum(freq * len(encoder._encode_word(w)) for w, freq in entry[3].items())
-    return [
-        FertilityReport(
-            language=lang,
-            doc_count=n_docs,
-            total_tokens=n_tokens,
-            tokens_per_doc=n_tokens / n_docs,
-            tokens_per_word=(n_tokens / n_words) if n_words else 0.0,
+    encode_word = _encoder_for(model)._encode_word
+    reports = []
+    for lang, (n_docs, n_bytes, counts) in sorted(words.items()):
+        n_tokens = n_bytes + sum(f * (len(encode_word(w)) - len(w)) for w, f in counts.items())
+        n_words = sum(f * len(w.decode("utf-8").split()) for w, f in counts.items())
+        reports.append(
+            FertilityReport(
+                language=lang,
+                doc_count=n_docs,
+                total_tokens=n_tokens,
+                tokens_per_doc=n_tokens / n_docs,
+                tokens_per_word=(n_tokens / n_words) if n_words else 0.0,
+            )
         )
-        for lang, (n_docs, n_tokens, n_words, _) in sorted(acc.items())
-    ]
+    return reports
 
 
 def compare_fertility(a: FertilityReport, b: FertilityReport) -> float:

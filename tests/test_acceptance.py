@@ -85,7 +85,9 @@ def test_criterion_01_fertility_gain():
         # Pinned in ROADMAP.md; any change to training must reproduce them.
         assert tokenizer.model_hash(model_a) == "37df9ad82577dec2b71e1b2a45e59958"
         assert tokenizer.model_hash(model_b) == "9a1eb769c6d1f4ce5167aa66d5805973"
-        held_out = synth.documents({"ind": 1.0}, 2_000_000, seed=999, source="held_out")
+        held_out = tokenizer.count_words(
+            synth.documents({"ind": 1.0}, 2_000_000, seed=999, source="held_out")
+        )
         report_a = tokenizer.fertility(model_a, held_out)[0]
         report_b = tokenizer.fertility(model_b, held_out)[0]
         elapsed = time.monotonic() - started

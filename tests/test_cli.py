@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +169,40 @@ class TestFertility:
         )
         assert run("fertility", "--config", cfg, "--out", tmp_path / "o") == 1
         assert "missing_model.json" in capsys.readouterr().err
+
+    def test_memory_follows_distinct_words(self, tmp_path):
+        # About 16 MB of text in 10 000 documents, but only 8 distinct words:
+        # the command may hold its word counts, not its documents.
+        rng = random.Random(4)
+        vocab = ["aku", "makan", "nasi", "goreng", "minum", "teh", "manis", "sekali"]
+        corpus_path = tmp_path / "big.txt"
+        with open(corpus_path, "w", encoding="utf-8") as handle:
+            for _ in range(10_000):
+                handle.write(" ".join(rng.choices(vocab, k=300)) + "\n")
+        model = tokenizer.train_bpe(
+            [CorpusDocument(id="0", text=" ".join(vocab * 2), language="ind", source="s")], 280
+        )
+        tokenizer.save_model(model, tmp_path / "model.json")
+        cfg = write_config(
+            tmp_path / "fert.json",
+            {
+                "model_a": str(tmp_path / "model.json"),
+                "model_b": str(tmp_path / "model.json"),
+                "corpus": str(corpus_path),
+                "language": "ind",
+            },
+        )
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            status = run("fertility", "--config", cfg, "--out", tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert corpus_path.stat().st_size > 14 * 2**20
+        assert peak < 5 * 2**20
 
 
 class TestAdapt:

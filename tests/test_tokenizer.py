@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from langadapt import tokenizer
 from langadapt.corpus import CorpusDocument
-from langadapt.tokenizer import FertilityReport
+from langadapt.tokenizer import FertilityReport, count_words, fertility
 
 from oracles import _split_words, naive_encode_bytes, naive_train_bpe
 
@@ -35,11 +35,18 @@ def byte_id(model, char):
 
 @st.composite
 def tiny_alphabet_corpora(draw):
-    """A few documents of long single-character runs over a 2-3 symbol alphabet."""
+    """A few documents of long single-character runs over a 2-3 symbol alphabet,
+    each in a language drawn from ind, sun and jav."""
     alphabet = draw(st.sampled_from(["ab", "aab ", "aaaa b"]))
     run = st.builds(lambda ch, n: ch * n, st.sampled_from(alphabet), st.integers(1, 12))
-    doc = st.lists(run, min_size=1, max_size=12).map("".join)
-    return draw(st.lists(doc, min_size=1, max_size=4))
+    text = st.lists(run, min_size=1, max_size=12).map("".join)
+    drawn = draw(
+        st.lists(st.tuples(st.sampled_from(["ind", "sun", "jav"]), text), min_size=1, max_size=4)
+    )
+    return [
+        CorpusDocument(id=str(i), text=t, language=lang, source="test")
+        for i, (lang, t) in enumerate(drawn)
+    ]
 
 
 # Runs of a, b or ab, 1-12 long, between ASCII whitespace bytes: models
@@ -84,13 +91,15 @@ class TestTrainBpe:
         assert list(model.merges) == expected_merges
 
     @settings(max_examples=300, deadline=None)
-    @given(texts=tiny_alphabet_corpora(), vocab_size=st.integers(260, 300))
-    def test_matches_naive_oracle_on_tiny_alphabets(self, texts, vocab_size):
+    @given(docs=tiny_alphabet_corpora(), vocab_size=st.integers(260, 300))
+    def test_matches_naive_oracle_on_tiny_alphabets(self, docs, vocab_size):
         # Long runs of one symbol put merge sites next to each other, where
         # the neighbour-pair updates of one site depend on the previous one.
+        # Mixed languages make training sum several per-language counters.
+        texts = [doc.text for doc in docs]
         assume(any(text.split() for text in texts))
         expected_pieces, expected_merges = naive_train_bpe(texts, vocab_size)
-        model = tokenizer.train_bpe(docs_from(texts), vocab_size)
+        model = tokenizer.train_bpe(docs, vocab_size)
         assert list(model.pieces) == expected_pieces
         assert list(model.merges) == expected_merges
 
@@ -248,7 +257,7 @@ class TestFertility:
     def test_single_doc_mean(self):
         model = tokenizer.train_bpe(docs_from(["abc abc"]), 260)
         doc = docs_from(["abcabcd"])  # one word, 7 bytes
-        (report,) = tokenizer.fertility(model, doc)
+        (report,) = fertility(model, count_words(doc))
         tokens = len(tokenizer.encode(model, "abcabcd"))
         assert report.total_tokens == tokens
         assert report.tokens_per_doc == float(tokens)
@@ -262,7 +271,7 @@ class TestFertility:
             lang = rng.choice(["ind", "sun"])
             text = " ".join(random_words(rng, n_types=15, n_words=rng.randrange(1, 9)))
             docs.append(CorpusDocument(id=str(i), text=text, language=lang, source="s"))
-        reports = {r.language: r for r in tokenizer.fertility(model, docs)}
+        reports = {r.language: r for r in fertility(model, count_words(docs))}
         for lang in ("ind", "sun"):
             mine = [d for d in docs if d.language == lang]
             total = sum(len(tokenizer.encode(model, d.text)) for d in mine)
@@ -298,7 +307,7 @@ class TestFertility:
             entry[0] += 1
             entry[1] += tokens
             entry[2] += len(doc.text.split())
-        reports = tokenizer.fertility(model, docs)
+        reports = fertility(model, count_words(docs))
         assert [
             (r.language, r.doc_count, r.total_tokens, r.tokens_per_word) for r in reports
         ] == [
@@ -314,7 +323,7 @@ class TestFertility:
 
         def run():
             tokenizer._ENCODERS.pop(model, None)
-            return tokenizer.fertility(model, docs), [tokenizer.encode(model, t) for t in texts]
+            return fertility(model, count_words(docs)), [tokenizer.encode(model, t) for t in texts]
 
         cached = run()
         monkeypatch.setattr(tokenizer, "_WORD_CACHE_LIMIT", 1)
@@ -323,7 +332,7 @@ class TestFertility:
     def test_empty_stream(self):
         model = tokenizer.train_bpe(docs_from(["ab ab"]), 260)
         with pytest.raises(ValueError, match="non-empty"):
-            tokenizer.fertility(model, [])
+            fertility(model, count_words([]))
 
 
 def report(tokens_per_doc, language="ind"):
