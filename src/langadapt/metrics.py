@@ -6,6 +6,14 @@ translation-style generation, ROUGE-L for summarization, multiple-choice
 preference rate. All aggregates use exact summation (math.fsum), so scores
 are invariant under any permutation of the examples.
 
+chrF++ counts n-grams with numpy arrays over consecutive batches of pairs
+of at most 8 192 characters, so its memory follows one batch, not the
+input. Within a batch every n-gram has an exact dense rank, with no width
+limit, and the matched counts are the integers a count of string slices
+gives, so scores are bit-identical to it. chrF++ and BLEU count orders only
+up to the longest sequence: higher orders have no n-grams and change no
+score, however large the configured order.
+
 Tie rules are fixed for determinism: argmax breaks ties by lowest index, the
 safety preference counts only strict inequalities, and verbalizer matching
 prefers the earliest match, then the longest verbalizer, then the
@@ -17,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import IngestError, _parse_json_line, _read_lines, _record_id, _typed, normalize
 
@@ -130,10 +138,16 @@ def _check_examples(name: str, items: Sequence) -> None:
         seen.add(item.id)
 
 
-def _mean_report(name: str, items: Sequence, score: Callable, scale: float = 1.0) -> MetricReport:
-    """``score(item)`` per example; the aggregate is ``scale`` times their exact mean."""
+def _mean_report(
+    name: str, items: Sequence, scores: Iterable[float], scale: float = 1.0
+) -> MetricReport:
+    """One score per item, in order; the aggregate is ``scale`` times their exact mean.
+
+    ``scores`` is read only after the examples are checked, so a lazy
+    iterator does no work on rejected input.
+    """
     _check_examples(name, items)
-    per_example = {item.id: score(item) for item in items}
+    per_example = dict(zip([item.id for item in items], scores, strict=True))
     n = len(items)
     return MetricReport(name, scale * (math.fsum(per_example.values()) / n), n, per_example)
 
@@ -181,31 +195,88 @@ def _fbeta(precision: float, recall: float, beta: float) -> float:
     return (1.0 + beta * beta) * precision * recall / denom
 
 
-def _chrf_grams(text: str, char_order: int, word_order: int) -> list[tuple[Counter, int]]:
-    # (counts, total) per character order, then per word order. Character
-    # n-grams skip whitespace; word n-grams come from whitespace tokenization.
-    words = tuple(text.split())
-    return [
-        (_ngram_counts(seq, n), max(len(seq) - n + 1, 0))
-        for seq, max_n in (("".join(words), char_order), (words, word_order))
-        for n in range(1, max_n + 1)
-    ]
+# Pairs are scored in consecutive batches of at most this many characters,
+# counting each text as its length plus one, so that memory follows one batch
+# (a batch's arrays take about 1 MB); a pair above the budget is a batch of
+# its own. Larger batches were no faster on the benchmark's inputs.
+_CHRF_BATCH_CHARS = 8192
 
 
-def _chrf_pair(hyp_grams: list, ref_grams: list, beta: float) -> float:
-    # Orders with no n-grams on either side are skipped; two effectively
-    # empty texts score 100 by definition.
+def _chrf_batches(pairs: Sequence[PredictionPair]):
+    batch: list[PredictionPair] = []
+    size = 0
+    for pair in pairs:
+        cost = len(pair.hypothesis) + 1 + sum(len(ref) + 1 for ref in pair.references)
+        if batch and size + cost > _CHRF_BATCH_CHARS:
+            yield batch
+            batch, size = [], 0
+        batch.append(pair)
+        size += cost
+    if batch:
+        yield batch
+
+
+def _matched_counts(codes, lengths, hyp_of, orders: int) -> list[list[int]]:
+    """Per order 1..orders, each text's n-grams matched against its hypothesis.
+
+    ``codes`` holds the texts' symbols back to back (int64), ``lengths`` each
+    text's length and ``hyp_of[t]`` the text index of the hypothesis that text
+    ``t`` is scored against. The count for a reference is the sum over its
+    n-grams of min(count in it, count in the hypothesis); a hypothesis
+    matches itself in full.
+    """
+    import numpy as np  # not at the top: see _chrf_scores
+
+    texts = len(lengths)
+    text = np.repeat(np.arange(texts), lengths)
+    # Symbols left in the text from each position on, that one included.
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))
+    is_hyp = hyp_of == np.arange(texts)
+    # Each distinct (symbol, text) gets a number, in symbol-major order. An
+    # n-gram's key is its (n-1)-gram's dense rank, then the number of its last
+    # symbol, which also names its text: so the sorted keys run n-gram by
+    # n-gram, text by text within one, and stay below len(codes)**2.
+    numbers, tail = np.unique(codes * texts + text, return_inverse=True)
+    symbol, tail_text = np.divmod(numbers, texts)
+    tail_symbol = np.cumsum(np.concatenate(([False], symbol[1:] != symbol[:-1])))
+    width = len(numbers)
+    pos = np.arange(len(codes))
+    matched = []
+    for n in range(1, orders + 1):
+        if n == 1:
+            keys, inverse, counts = np.arange(width), tail, np.bincount(tail, minlength=width)
+        else:
+            keep = left[pos] >= n
+            pos, gram = pos[keep], gram[keep]
+            keys, inverse, counts = np.unique(
+                gram * width + tail[pos + n - 1], return_inverse=True, return_counts=True
+            )
+        prefix, last = np.divmod(keys, width)
+        run_text, last = tail_text[last], tail_symbol[last]
+        rank = np.cumsum(
+            np.concatenate(([False], (prefix[1:] != prefix[:-1]) | (last[1:] != last[:-1])))
+        )
+        gram = rank[inverse]
+        # The nearest hypothesis run at or before each run holds the run's
+        # n-gram in the run's own hypothesis exactly when its rank matches and
+        # its text is that hypothesis.
+        prev = np.maximum.accumulate(np.where(is_hyp[run_text], np.arange(len(keys)), -1))
+        hit = (prev >= 0) & (rank[prev] == rank) & (run_text[prev] == hyp_of[run_text])
+        both = np.minimum(counts, counts[prev])[hit]
+        # bincount sums its weights as floats, exact for counts below 2**53.
+        matched.append(np.bincount(run_text[hit], both, texts).astype(np.int64).tolist())
+    return matched
+
+
+def _chrf_pair(counts: list[tuple[int, int, int]], beta: float) -> float:
+    # (matched, hypothesis total, reference total) per order. Orders with no
+    # n-grams on either side are skipped; two effectively empty texts score
+    # 100 by definition.
     precisions: list[float] = []
     recalls: list[float] = []
-    for (hyp_counts, hyp_total), (ref_counts, ref_total) in zip(hyp_grams, ref_grams):
+    for matched, hyp_total, ref_total in counts:
         if hyp_total == 0 and ref_total == 0:
             continue
-        small, large = sorted((hyp_counts, ref_counts), key=len)
-        matched = 0
-        for gram, count in small.items():
-            other = large.get(gram)
-            if other:
-                matched += count if count < other else other
         precisions.append(matched / hyp_total if hyp_total else 0.0)
         recalls.append(matched / ref_total if ref_total else 0.0)
     if not precisions:
@@ -213,6 +284,50 @@ def _chrf_pair(hyp_grams: list, ref_grams: list, beta: float) -> float:
     avg_p = math.fsum(precisions) / len(precisions)
     avg_r = math.fsum(recalls) / len(recalls)
     return 100.0 * _fbeta(avg_p, avg_r, beta)
+
+
+def _chrf_scores(pairs: Sequence[PredictionPair], char_order: int, word_order: int, beta: float):
+    # Imported here for the reason given in collection.subsample_to_target.
+    import numpy as np
+
+    for batch in _chrf_batches(pairs):
+        # Each pair's hypothesis, then its references. Character n-grams skip
+        # whitespace; word n-grams come from whitespace tokenization.
+        texts: list[str] = []
+        hyp_index: list[int] = []
+        for pair in batch:
+            hyp_index += [len(texts)] * (1 + len(pair.references))
+            texts += (pair.hypothesis, *pair.references)
+        words = [text.split() for text in texts]
+        chars = ["".join(tokens) for tokens in words]
+        vocab: dict[str, int] = {}
+        word_ids = [vocab.setdefault(word, len(vocab)) for tokens in words for word in tokens]
+        # JSON "\ud800" decodes to a lone surrogate, which strict UTF-32 rejects.
+        char_codes = "".join(chars).encode("utf-32-le", "surrogatepass")
+        hyp_of = np.array(hyp_index)
+        sides = []
+        for codes, lengths, max_order in (
+            (np.frombuffer(char_codes, "<u4").astype(np.int64), list(map(len, chars)), char_order),
+            (np.array(word_ids, np.int64), list(map(len, words)), word_order),
+        ):
+            # Orders beyond the longest text have no n-grams on either side.
+            orders = min(max_order, max(lengths))
+            sides.append((lengths, _matched_counts(codes, np.array(lengths), hyp_of, orders)))
+        hyp = 0
+        for pair in batch:
+            refs = range(hyp + 1, hyp + 1 + len(pair.references))
+            yield max(
+                _chrf_pair(
+                    [
+                        (matched[ref], max(lengths[hyp] - n + 1, 0), max(lengths[ref] - n + 1, 0))
+                        for lengths, per_order in sides
+                        for n, matched in enumerate(per_order, 1)
+                    ],
+                    beta,
+                )
+                for ref in refs
+            )
+            hyp = refs.stop
 
 
 def chrf_pp(
@@ -229,15 +344,7 @@ def chrf_pp(
     """
     if char_order < 1 or word_order < 1:
         raise ValueError("n-gram orders must be >= 1")
-
-    def score(pair: PredictionPair) -> float:
-        hyp_grams = _chrf_grams(pair.hypothesis, char_order, word_order)
-        return max(
-            _chrf_pair(hyp_grams, _chrf_grams(ref, char_order, word_order), beta)
-            for ref in pair.references
-        )
-
-    return _mean_report("chrf_pp", pairs, score)
+    return _mean_report("chrf_pp", pairs, _chrf_scores(pairs, char_order, word_order, beta))
 
 
 def corpus_bleu(
@@ -259,8 +366,8 @@ def corpus_bleu(
         raise ValueError("max_order must be >= 1")
     if smoothing not in (SMOOTHING_NONE, SMOOTHING_ADD_EPS_EXP):
         raise ValueError(f"unknown smoothing {smoothing!r}")
-    matches = [0] * max_order
-    totals = [0] * max_order
+    matches: Counter[int] = Counter()
+    totals: Counter[int] = Counter()
     hyp_len = 0
     ref_len = 0
     for pair in pairs:
@@ -270,13 +377,12 @@ def corpus_bleu(
         ref_len += min(
             (abs(len(ref) - len(hyp_tokens)), len(ref)) for ref in ref_token_lists
         )[1]
-        for n in range(1, max_order + 1):
+        # Orders beyond the hypothesis have no n-grams and are never counted.
+        for n in range(1, min(max_order, len(hyp_tokens)) + 1):
             hyp_grams = _ngram_counts(hyp_tokens, n)
-            if not hyp_grams:
-                continue
-            totals[n - 1] += sum(hyp_grams.values())
+            totals[n] += sum(hyp_grams.values())
             ref_gram_lists = [_ngram_counts(ref, n) for ref in ref_token_lists]
-            matches[n - 1] += sum(
+            matches[n] += sum(
                 min(count, max(ref.get(gram, 0) for ref in ref_gram_lists))
                 for gram, count in hyp_grams.items()
             )
@@ -285,9 +391,8 @@ def corpus_bleu(
     # Orders longer than every hypothesis carry no evidence and are excluded
     # from the geometric mean; order 1 always contributes when hyp_len > 0.
     log_terms = []
-    for matched, total in zip(matches, totals):
-        if total == 0:
-            continue
+    for n, total in totals.items():
+        matched = matches[n]
         if matched == 0 and smoothing == SMOOTHING_ADD_EPS_EXP:
             precision = 1.0 / (2.0 * total)
         else:
@@ -336,7 +441,7 @@ def rouge_l(pairs: Sequence[PredictionPair], beta: float = 1.2) -> MetricReport:
             best = max(best, weighted / (recall + beta * beta * precision))
         return best
 
-    return _mean_report("rouge_l", pairs, score)
+    return _mean_report("rouge_l", pairs, map(score, pairs))
 
 
 def mc1_accuracy(items: Sequence[MC1Item]) -> MetricReport:
@@ -356,7 +461,7 @@ def mc1_accuracy(items: Sequence[MC1Item]) -> MetricReport:
                 best = index
         return 1.0 if best == item.gold_index else 0.0
 
-    return _mean_report("mc1_accuracy", items, score, 100.0)
+    return _mean_report("mc1_accuracy", items, map(score, items), 100.0)
 
 
 def safety_preference(pairs: Sequence[LikelihoodPair]) -> MetricReport:
@@ -372,7 +477,7 @@ def safety_preference(pairs: Sequence[LikelihoodPair]) -> MetricReport:
             raise ValueError(f"non-finite likelihood score for pair {pair.id!r}")
         return 1.0 if pair.benign_score > pair.harmful_score else 0.0
 
-    return _mean_report("safety_preference", pairs, score, 100.0)
+    return _mean_report("safety_preference", pairs, map(score, pairs), 100.0)
 
 
 def match_verbalizer(

@@ -4,13 +4,16 @@ These are deliberately slow, direct transcriptions of the documented
 behavior: the BPE trainer rescans every word each iteration, the encoder
 replays merges one by one over the whole sequence, the collection oracle
 builds one instance per copy, and the metric oracles count n-grams with
-plain loops. None of them share code with the library paths they check.
+plain loops or, for ``counter_chrf_pp``, one ``Counter`` per order and text.
+None of them share code with the library paths they check.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from collections import Counter
 
 
 def _split_words(text: str) -> list[bytes]:
@@ -145,6 +148,55 @@ def naive_chrf(hyp: str, ref: str, char_order=6, word_order=2, beta=2.0) -> floa
     if denom == 0:
         return 0.0
     return 100.0 * (1 + beta * beta) * avg_p * avg_r / denom
+
+
+def _counter_ngrams(seq, n: int) -> Counter:
+    return Counter([seq[i : i + n] for i in range(len(seq) - n + 1)])
+
+
+def _counter_chrf_grams(text: str, char_order: int, word_order: int) -> list:
+    words = tuple(text.split())
+    return [
+        (_counter_ngrams(seq, n), max(len(seq) - n + 1, 0))
+        for seq, max_n in (("".join(words), char_order), (words, word_order))
+        for n in range(1, max_n + 1)
+    ]
+
+
+def _counter_chrf_pair(hyp_grams: list, ref_grams: list, beta: float) -> float:
+    precisions = []
+    recalls = []
+    for (hyp_counts, hyp_total), (ref_counts, ref_total) in zip(hyp_grams, ref_grams):
+        if hyp_total == 0 and ref_total == 0:
+            continue
+        matched = sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
+        precisions.append(matched / hyp_total if hyp_total else 0.0)
+        recalls.append(matched / ref_total if ref_total else 0.0)
+    if not precisions:
+        return 100.0
+    avg_p = math.fsum(precisions) / len(precisions)
+    avg_r = math.fsum(recalls) / len(recalls)
+    denom = beta * beta * avg_p + avg_r
+    if denom <= 0.0:
+        return 0.0
+    return 100.0 * ((1.0 + beta * beta) * avg_p * avg_r / denom)
+
+
+def counter_chrf_pp(pairs, char_order=6, word_order=2, beta=2.0) -> dict[str, float]:
+    """chrF++ per example id with one ``Counter`` of slices per order and text.
+
+    Unlike ``naive_chrf`` it does the library's floating-point arithmetic step
+    for step (``math.fsum`` averages, the same F-beta expression), so its
+    scores must equal the library's exactly, not only approximately.
+    """
+    scores = {}
+    for pair in pairs:
+        hyp_grams = _counter_chrf_grams(pair.hypothesis, char_order, word_order)
+        scores[pair.id] = max(
+            _counter_chrf_pair(hyp_grams, _counter_chrf_grams(ref, char_order, word_order), beta)
+            for ref in pair.references
+        )
+    return scores
 
 
 def naive_rouge_l(hyp: str, ref: str, beta=1.2) -> float:

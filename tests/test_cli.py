@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 from langadapt import collection, corpus, metrics, tokenizer, vocab_adapt
 from langadapt.cli import main
 from langadapt.corpus import CorpusDocument
+
+from oracles import counter_chrf_pp
 
 DATA = Path(__file__).parent / "data"
 
@@ -578,6 +581,27 @@ class TestScore:
         expected = metrics.chrf_pp(metrics.read_prediction_pairs(preds), char_order=3, beta=1.0)
         assert payload["aggregate"] == expected.aggregate
         assert payload["aggregate"] != metrics.chrf_pp(metrics.read_prediction_pairs(preds)).aggregate
+
+    def test_lone_surrogate_scores_like_the_oracle(self, tmp_path):
+        # JSON allows the escape "\ud800", which decodes to a lone surrogate.
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            '{"id": "1", "hypothesis": "a\\ud800b c", "references": ["\\ud800b", "a c"]}\n'
+            '{"id": "2", "hypothesis": "\\ud800", "references": ["\\ud800 \\udfff"]}\n',
+            encoding="utf-8",
+        )
+        cfg = write_config(tmp_path / "cfg.json", {"metric": "chrf_pp", "predictions": str(preds)})
+        out = tmp_path / "out"
+        assert run("score", "--config", cfg, "--out", out) == 0
+        pairs = metrics.read_prediction_pairs(preds)
+        assert pairs[1].hypothesis == "\ud800"
+        expected = counter_chrf_pp(pairs)
+        assert json.loads((out / "report.json").read_text(encoding="utf-8")) == {
+            "metric_name": "chrf_pp",
+            "aggregate": math.fsum(expected.values()) / len(expected),
+            "n": 2,
+            "per_example": expected,
+        }
 
     @pytest.mark.parametrize("char_order", ["3", 2.7], ids=["string", "float"])
     def test_option_of_wrong_type_names_option(self, tmp_path, capsys, char_order):

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +23,8 @@ from langadapt.metrics import (
     weighted_f1,
 )
 
-from oracles import naive_chrf, naive_rouge_l
+from oracles import counter_chrf_pp, naive_chrf, naive_rouge_l
+from synthdata import make_lexicon
 
 WORDS = ["kucing", "makan", "nasi", "di", "rumah", "besar", "itu", "dia", "pergi", "cepat"]
 
@@ -37,6 +40,38 @@ def prediction(pair_id, hypothesis, *references):
 # Tiny vocabularies with many repeated tokens: long runs of equal characters
 # and words stress n-gram clipping and every LCS tie.
 TINY_TEXT = st.lists(st.sampled_from(["a", "b", "ab", "aab"]), max_size=40).map(" ".join)
+
+# Symbols that chrF++'s code-point arrays must count like string slices: CJK
+# and Cyrillic, a character outside the BMP, lone surrogates (JSON "\ud800"
+# decodes to one) and a surrogate pair kept as two code points, and Unicode
+# whitespace (U+00A0, U+2028) that str.split() splits on; st.characters()
+# adds an alphabet as large as Unicode.
+WIDE_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ["a", "b", "ab", "字", "漢字", "жж", "\U0001F600", "\ud800", "\udfff",
+             "\ud83d\ude00", " ", "\u00a0", "\u2028", "\n"]
+        ),
+        st.characters(),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@st.composite
+def wide_pairs(draw):
+    """1-6 pairs, each with 1-4 references, any of them possibly empty."""
+    return [
+        prediction(str(i), draw(WIDE_TEXT), *draw(st.lists(WIDE_TEXT, min_size=1, max_size=4)))
+        for i in range(draw(st.integers(1, 6)))
+    ]
+
+
+def random_words_pairs(rng, n, words, lo, hi):
+    def sentence():
+        return " ".join(rng.choice(words) for _ in range(rng.randint(lo, hi)))
+
+    return [prediction(str(i), sentence(), sentence()) for i in range(n)]
 
 
 class TestWeightedF1:
@@ -112,6 +147,57 @@ class TestChrfPP:
         expected = max(naive_chrf(hyp, ref, **orders), naive_chrf(hyp, other, **orders))
         assert multi == pytest.approx(expected, abs=1e-4)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=wide_pairs(),
+        char_order=st.integers(1, 8),
+        word_order=st.integers(1, 3),
+        budget=st.sampled_from([1, 24, 96, metrics._CHRF_BATCH_CHARS]),
+    )
+    @example(pairs=[prediction("1", "", "")], char_order=6, word_order=2, budget=1)
+    @example(
+        pairs=[
+            prediction("1", "\ud800字 a", "\ud800字", "字"),
+            prediction("2", "ab", "b a", "", "ab"),
+        ],
+        char_order=6,
+        word_order=2,
+        budget=8,
+    )
+    def test_equals_counter_oracle(self, pairs, char_order, word_order, budget):
+        # Small budgets make the drawn lists cross batch boundaries; budget 1
+        # puts every pair above it, in a batch of its own.
+        orders = {"char_order": char_order, "word_order": word_order}
+        with mock.patch.object(metrics, "_CHRF_BATCH_CHARS", budget):
+            report = chrf_pp(pairs, **orders)
+        expected = counter_chrf_pp(pairs, **orders)
+        assert report.per_example == expected
+        assert report.aggregate == math.fsum(expected.values()) / len(pairs)
+
+    def test_batches_cross_the_budget_equal_counter_oracle(self):
+        rng = random.Random(23)
+        pairs = random_words_pairs(rng, 150, WORDS, 1, 40)
+        long_text = " ".join(rng.choice(WORDS) for _ in range(2000))
+        pairs.insert(70, prediction("long", long_text, long_text[::-1], "kucing"))
+        assert len(long_text) > metrics._CHRF_BATCH_CHARS
+        report = chrf_pp(pairs)
+        expected = counter_chrf_pp(pairs)
+        assert report.per_example == expected
+        assert report.aggregate == math.fsum(expected.values()) / len(pairs)
+
+    def test_memory_follows_the_batch_not_the_input(self):
+        # About 2 MB of text; scoring it all as one batch peaks above 300 MB.
+        pairs = random_words_pairs(random.Random(29), 2000, make_lexicon("ind", 300, 0), 30, 80)
+        chrf_pp(pairs[:1])  # numpy is imported on the first call
+        tracemalloc.start()
+        try:
+            report = chrf_pp(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n == 2000
+        assert peak < 4_000_000
+
     def test_multi_reference_takes_best(self):
         single = chrf_pp([prediction("1", "kucing makan", "kucing makan")]).aggregate
         multi = chrf_pp(
@@ -170,6 +256,23 @@ class TestCorpusBleu:
     def test_unknown_smoothing(self):
         with pytest.raises(ValueError, match="smoothing"):
             corpus_bleu([prediction("1", "a", "a")], smoothing="laplace")
+
+
+def test_orders_beyond_the_longest_sequence_cost_nothing():
+    # Orders above every text's length have no n-grams. A config may still
+    # ask for 10**6 of them; neither time nor memory may follow that number.
+    pairs = [prediction("1", "kucing makan", "kucing tidur")]
+    chrf_pp(pairs)  # numpy is imported on the first call
+    tracemalloc.start()
+    try:
+        chrf = chrf_pp(pairs, char_order=10**6, word_order=10**6)
+        bleu = corpus_bleu(pairs, max_order=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chrf == chrf_pp(pairs, char_order=11, word_order=2)
+    assert bleu == corpus_bleu(pairs, max_order=2)
+    assert peak < 1_000_000
 
 
 class TestRougeL:

@@ -1,7 +1,12 @@
-"""Each module's ``__all__`` names only what the module defines."""
+"""Each module's ``__all__`` names only what the module defines; importing
+``metrics`` or ``collection`` alone does not load numpy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +23,16 @@ def test_all_names_exist_and_star_import(name):
     namespace: dict = {}
     exec(f"from langadapt.{name} import *", namespace)
     assert set(exported) <= namespace.keys()
+
+
+@pytest.mark.parametrize("name", ["metrics", "collection"])
+def test_import_leaves_numpy_unloaded(name):
+    # Both import numpy inside the functions that use it: loaded at import
+    # time, it comes before the other modules and leaves every CLI process
+    # larger (see collection.subsample_to_target).
+    code = f"import sys, langadapt.{name}; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(langadapt.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout == "False\n"
