@@ -1,21 +1,27 @@
 """Command-line pipelines wiring the toolkit modules together.
 
 One binary with subcommands. Each command reads an optional JSON config
-(flags override config values), writes its artifacts plus a ``manifest.json``
-into the output directory, and exits nonzero after removing partial outputs
-when anything fails. Manifests embed the resolved config, input checksums,
-the seed, and the toolkit version, so identical configs and inputs produce
-identical output checksums.
+(flags override config values) and writes its artifacts into a hidden stage
+directory inside the output directory. Success publishes them: the staged
+files' checksums go into ``manifest.json``, the earlier manifest is removed,
+and every file is renamed into the output directory, the manifest last. A
+failed run leaves the output directory as it was, or without a manifest if
+renaming failed; a killed run may leave a stage directory, never a truncated
+artifact under its real name. Manifests embed the resolved config, input
+checksums, the seed, and the toolkit version, so identical configs and
+inputs produce identical output checksums.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
-import itertools
 import json
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__, collection, corpus, metrics, tokenizer, vocab_adapt
@@ -114,88 +120,70 @@ def _input_files(config: dict, key: str) -> list[dict]:
     return files
 
 
-def _ingest_all(files: list[dict]):
-    # (source, id) pairs must stay unique across the whole run, not just
-    # within one file; collisions only happen when config entries share a
-    # source, so they are config errors.
-    first_path: dict[tuple[str, str], str] = {}
+def _read_all(files: list[dict], read, what: str, check_all: bool):
+    """Chain ``read(entry)`` over the entries; no (source, id) may repeat across files.
 
-    def checked(stream, path):
-        for doc in stream:
-            key = (doc.source, doc.id)
+    ``read`` rejects a repeat within one file, so only entries that share a
+    source can collide, unless an item may name its own source (``check_all``);
+    other streams are passed through unrecorded. A collision is a config error.
+    """
+    sources = collections.Counter(entry["source"] for entry in files)
+    first_path: dict[tuple[str, str], str] = {}
+    for entry in files:
+        path, items = entry["path"], read(entry)
+        if not check_all and sources[entry["source"]] == 1:
+            yield from items
+            continue
+        for item in items:
+            key = (item.source, item.id)
             if key in first_path:
                 raise ConfigError(
-                    f"{path}: duplicate document id {doc.id!r} for source "
-                    f"{doc.source!r}, also in {first_path[key]}"
+                    f"{path}: duplicate {what} id {item.id!r} for source "
+                    f"{item.source!r}, also in {first_path[key]}"
                 )
             first_path[key] = path
-            yield doc
+            yield item
 
+
+def _ingest_all(files: list[dict]):
     for entry in files:
         # Task records may carry their own language; corpus documents cannot.
         if entry["language"] is None:
             raise ConfigError(f"no language given for corpus file {entry['path']}")
-    streams = [
-        checked(
-            corpus.ingest(
-                entry["path"],
-                entry["format"],
-                language=entry["language"],
-                source=entry["source"],
-            ),
-            entry["path"],
+
+    def read(entry):
+        return corpus.ingest(
+            entry["path"], entry["format"], language=entry["language"], source=entry["source"]
         )
-        for entry in files
-    ]
-    return itertools.chain.from_iterable(streams)
+
+    return _read_all(files, read, "document", check_all=False)
 
 
-class _Outputs:
-    """Tracks files written into the out directory so failures can clean up."""
-
-    def __init__(self, outdir: Path):
-        self.outdir = outdir
-        self.written: list[Path] = []
-
-    def path(self, name: str) -> Path:
-        target = self.outdir / name
-        self.written.append(target)
-        return target
-
-    def write_json(self, name: str, payload: dict) -> None:
-        text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-        self.path(name).write_text(text, encoding="utf-8", newline="\n")
-
-    def cleanup(self) -> None:
-        for target in self.written:
-            target.unlink(missing_ok=True)
-
-    def checksums(self) -> dict[str, str]:
-        return {target.name: _sha256_file(target) for target in sorted(self.written)}
+def _write_json(path: Path, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_manifest(out: _Outputs, command: str, config: dict, inputs: list) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "seed": config["seed"],
-        "config": {key: config[key] for key in sorted(config)},
-        "inputs": {path: _sha256_file(path) for path in sorted(set(inputs))},
-        "outputs": out.checksums(),
-    }
-    out.write_json("manifest.json", manifest)
+def _publish(stage: Path, outdir: Path, manifest: dict) -> None:
+    """Checksum the staged files into ``manifest``, then rename all into ``outdir``, it last."""
+    names = sorted(path.name for path in stage.iterdir())
+    manifest["outputs"] = {name: _sha256_file(stage / name) for name in names}
+    _write_json(stage / "manifest.json", manifest)
+    (outdir / "manifest.json").unlink(missing_ok=True)  # so a failed rename leaves none
+    for name in [*names, "manifest.json"]:
+        os.replace(stage / name, outdir / name)
 
 
-def _cmd_tokenizer_train(config: dict, out: _Outputs) -> list:
+def _cmd_tokenizer_train(config: dict, out: Path) -> list:
     vocab_size = _require(config, "vocab_size")
     specials = config.get("special_tokens", list(tokenizer.REQUIRED_SPECIALS))
     files = _input_files(config, "corpus")
     model = tokenizer.train_bpe(_ingest_all(files), vocab_size, specials)
-    tokenizer.save_model(model, out.path("tokenizer.json"))
+    tokenizer.save_model(model, out / "tokenizer.json")
     return [entry["path"] for entry in files]
 
 
-def _cmd_fertility(config: dict, out: _Outputs) -> list:
+def _cmd_fertility(config: dict, out: Path) -> list:
     path_a = _require(config, "model_a")
     path_b = _require(config, "model_b")
     model_a = tokenizer.load_model(path_a)
@@ -217,14 +205,14 @@ def _cmd_fertility(config: dict, out: _Outputs) -> list:
                 a.tokens_per_word, b.tokens_per_word
             )
         comparison[language] = entry
-    out.write_json(
-        "fertility.json",
+    _write_json(
+        out / "fertility.json",
         {"model_a": path_a, "model_b": path_b, "languages": comparison},
     )
     return [path_a, path_b] + [entry["path"] for entry in files]
 
 
-def _cmd_adapt(config: dict, out: _Outputs) -> list:
+def _cmd_adapt(config: dict, out: Path) -> list:
     old_model_path = _require(config, "old_model")
     new_model_path = _require(config, "new_model")
     old_emb_path = _require(config, "old_embeddings")
@@ -232,31 +220,31 @@ def _cmd_adapt(config: dict, out: _Outputs) -> list:
     new_tok = tokenizer.load_model(new_model_path)
     old_emb = vocab_adapt.load_embeddings(old_emb_path)
     new_emb, report = vocab_adapt.adapt_embeddings(old_tok, old_emb, new_tok)
-    vocab_adapt.save_embeddings(new_emb, out.path("embeddings.bin"))
-    out.write_json("adaptation.json", report.to_json_dict())
+    vocab_adapt.save_embeddings(new_emb, out / "embeddings.bin")
+    _write_json(out / "adaptation.json", report.to_json_dict())
     return [old_model_path, new_model_path, old_emb_path]
 
 
-def _cmd_build_collection(config: dict, out: _Outputs) -> list:
+def _cmd_build_collection(config: dict, out: Path) -> list:
     templates_path = _require(config, "templates")
     plan_path = _require(config, "plan")
     record_files = _input_files(config, "records")
     registry = collection.TemplateRegistry.from_json_file(templates_path)
     plan = collection.SamplingPlan.from_json_file(plan_path)
-    records = [
-        record
-        for entry in record_files
-        for record in corpus.read_task_records(
+
+    def read(entry):
+        return corpus.read_task_records(
             entry["path"], language=entry["language"], source=entry["source"]
         )
-    ]
+
+    records = list(_read_all(record_files, read, "record", check_all=True))
     instances, per_source = collection.build_collection(registry, records, plan)
     targets = plan.target_totals or {}
     written = {}
     for phase, selected in zip(("phase1", "phase2"), collection.split_phases(instances)):
         if phase in targets:
             selected = collection.subsample_to_target(selected, targets[phase], plan.seed)
-        written[phase] = collection.write_instances_jsonl(selected, out.path(f"{phase}.jsonl"))
+        written[phase] = collection.write_instances_jsonl(selected, out / f"{phase}.jsonl")
     manifest = {
         "per_source": per_source,
         "plan": plan.to_json_dict(),
@@ -264,11 +252,11 @@ def _cmd_build_collection(config: dict, out: _Outputs) -> list:
         "version": __version__,
         "written_per_phase": written,
     }
-    out.write_json("collection_manifest.json", manifest)
+    _write_json(out / "collection_manifest.json", manifest)
     return [templates_path, plan_path] + [entry["path"] for entry in record_files]
 
 
-def _cmd_score(config: dict, out: _Outputs) -> list:
+def _cmd_score(config: dict, out: Path) -> list:
     metric = _require(config, "metric")
     predictions = _require(config, "predictions")
     if metric not in _SCORERS:
@@ -280,7 +268,7 @@ def _cmd_score(config: dict, out: _Outputs) -> list:
     options = {key: config[key] for key in option_kinds if key in config}
     examples = getattr(metrics, reader)(predictions)
     report = getattr(metrics, metric)(examples, **options)
-    out.write_json("report.json", report.to_json_dict())
+    _write_json(out / "report.json", report.to_json_dict())
     return [predictions]
 
 
@@ -333,24 +321,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out: _Outputs | None = None
+    stage: Path | None = None
     try:
         config = _resolve_config(args)
         outdir = Path(config["out"])
         outdir.mkdir(parents=True, exist_ok=True)
         config["out"] = str(outdir)
-        out = _Outputs(outdir)
+        stage = Path(tempfile.mkdtemp(prefix=".stage-", dir=outdir))
         handler, _, _ = _COMMANDS[args.command]
         try:
-            inputs = handler(config, out)
+            inputs = handler(config, stage)
         except ConfigError as exc:  # a handler's ConfigError is about a config value
             raise ConfigError(f"{args.config}: {exc}") if args.config else exc
-        _write_manifest(out, args.command, config, inputs)
-    except Exception as exc:  # distilled to an exit code; partial outputs removed
-        if out is not None:
-            out.cleanup()
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "seed": config["seed"],
+            "config": {key: config[key] for key in sorted(config)},
+            "inputs": {path: _sha256_file(path) for path in sorted(set(inputs))},
+        }
+        _publish(stage, outdir, manifest)
+    except Exception as exc:  # distilled to an exit code
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
     return 0
 
 

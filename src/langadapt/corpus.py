@@ -94,11 +94,15 @@ class TaskRecord:
             raise ValueError("record source must be non-empty")
         _check_language(self.language)
         object.__setattr__(self, "task_type", TaskType(self.task_type))
+        # Slots, label and source are written out, so each must encode as UTF-8.
+        _encodable(self.source, "source")
         for key, value in self.fields.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise ValueError(f"record {self.id!r}: slots must map str to str")
+            _encodable(value, f"slot {key!r}")
         if self.label is not None and not isinstance(self.label, str):
             raise ValueError(f"record {self.id!r}: label must be a string or null")
+        _encodable(self.label or "", "label")
         if self.task_type is TaskType.CLASSIFICATION and not self.label:
             raise ValueError(f"classification record {self.id!r} has no label")
         if self.task_type is TaskType.TRANSLATION:
@@ -176,18 +180,31 @@ def _object(value, keys, what: str) -> dict:
     return value
 
 
+def _encodable(text: str, what: str) -> str:
+    """``text`` unchanged unless it holds a lone surrogate (JSON's ``\\ud800`` escape
+    decodes to one), which no UTF-8 writer or encoder accepts."""
+    if not text.isascii():  # an O(1) flag test, so ASCII ids and texts cost no encode
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{what} has a lone surrogate at index {exc.start}") from None
+    return text
+
+
 def _record_id(path, lineno: int, value) -> str:
     """A JSON-lines record id as a string: a string as given, an integer in decimal.
 
-    Any other value (``null``, ``""``, a float, a bool, ...) raises
-    :class:`IngestError` naming the file and the 1-based ``lineno``.
+    Any other value (``null``, ``""``, a float, a bool, a string with a lone
+    surrogate, ...) raises :class:`IngestError` naming the file and the
+    1-based ``lineno``.
     """
     try:
-        if _typed(value, "a string or an integer", "id") == "":
+        record_id = str(_typed(value, "a string or an integer", "id"))
+        if not _encodable(record_id, "id"):
             raise ValueError("id must be a non-empty string or an integer, got ''")
     except ValueError as exc:
         raise IngestError(f"{path}: line {lineno}: {exc}") from exc
-    return str(value)
+    return record_id
 
 
 def _read_lines(path) -> Iterator[tuple[int, str]]:
@@ -263,7 +280,7 @@ def ingest(
                 continue
             doc_id = _record_id(path, lineno, record.get("id", lineno - 1))
             try:
-                text = _typed(record.get("text"), "a string", "text")
+                text = _encodable(_typed(record.get("text"), "a string", "text"), "text")
             except ValueError as exc:
                 raise IngestError(f"{path}: line {lineno}: {exc}") from exc
         text = unicodedata.normalize("NFC", text).strip()
@@ -274,7 +291,8 @@ def ingest(
             raise IngestError(
                 f"{path}: line {lineno}: duplicate document id {doc_id!r} for source {source!r}"
             )
-        seen.add(doc_id)
+        if format == JSON_LINES:  # plain-lines ids are line numbers, never repeated
+            seen.add(doc_id)
         stats.documents += 1
         yield CorpusDocument(id=doc_id, text=text, language=language, source=source)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import random
 import tracemalloc
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from langadapt import collection, corpus, metrics, tokenizer, vocab_adapt
+from langadapt import cli, collection, corpus, metrics, tokenizer, vocab_adapt
 from langadapt.cli import main
 from langadapt.corpus import CorpusDocument
 
@@ -173,15 +174,20 @@ class TestFertility:
         assert run("fertility", "--config", cfg, "--out", tmp_path / "o") == 1
         assert "missing_model.json" in capsys.readouterr().err
 
-    def test_memory_follows_distinct_words(self, tmp_path):
-        # About 16 MB of text in 10 000 documents, but only 8 distinct words:
-        # the command may hold its word counts, not its documents.
+    @pytest.mark.parametrize(
+        "documents, words, min_bytes",
+        [(10_000, 300, 14 * 2**20), (50_000, 2, 2**19)],
+        ids=["long-documents", "many-documents"],
+    )
+    def test_memory_follows_distinct_words(self, tmp_path, documents, words, min_bytes):
+        # Many bytes or many documents, but only 8 distinct words: the command
+        # may hold its word counts, not its documents or their ids.
         rng = random.Random(4)
         vocab = ["aku", "makan", "nasi", "goreng", "minum", "teh", "manis", "sekali"]
         corpus_path = tmp_path / "big.txt"
         with open(corpus_path, "w", encoding="utf-8") as handle:
-            for _ in range(10_000):
-                handle.write(" ".join(rng.choices(vocab, k=300)) + "\n")
+            for _ in range(documents):
+                handle.write(" ".join(rng.choices(vocab, k=words)) + "\n")
         model = tokenizer.train_bpe(
             [CorpusDocument(id="0", text=" ".join(vocab * 2), language="ind", source="s")], 280
         )
@@ -204,7 +210,7 @@ class TestFertility:
         finally:
             tracemalloc.stop()
         assert status == 0
-        assert corpus_path.stat().st_size > 14 * 2**20
+        assert corpus_path.stat().st_size > min_bytes
         assert peak < 5 * 2**20
 
 
@@ -408,6 +414,28 @@ class TestBuildCollection:
         cfg.write_text(json.dumps(payload), encoding="utf-8")
         assert run("build-collection", "--config", cfg, "--out", tmp_path / "o") == 1
         assert "unplanned" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("named_by", ["entry", "line"])
+    def test_duplicate_id_across_files_names_both(self, tmp_path, capsys, named_by):
+        # The second file shares source and id with the first, named either by
+        # its config entry or by the record line itself.
+        cfg = collection_fixture(tmp_path, n_records=3, factor=1)
+        payload = json.loads(cfg.read_text(encoding="utf-8"))
+        first = payload["records"][0]["path"]
+        second = tmp_path / "more.jsonl"
+        record = {"id": "r00001", "fields": {"prompt": "p", "answer": "a"}}
+        record["task_type"] = "generation"
+        entry = {"path": str(second), "source": "identity"}
+        if named_by == "line":
+            record["source"], entry["source"] = "identity", "other"
+        second.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        payload["records"].append(entry)
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
+        assert run("build-collection", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: {second}: duplicate record id 'r00001' for source 'identity', "
+            f"also in {first}\n"
+        )
 
     def test_bundled_human_centric_fixture(self, tmp_path):
         base = DATA / "human_centric"
@@ -673,3 +701,109 @@ class TestIdempotency:
         assert run("score", "--config", cfg, "--out", out1) == 0
         assert run("score", "--config", cfg, "--out", out2) == 0
         assert sha256(out1 / "report.json") == sha256(out2 / "report.json")
+
+
+def snapshot(directory):
+    """Every path under ``directory``, each file with its bytes."""
+    return {
+        path.relative_to(directory): path.read_bytes() if path.is_file() else None
+        for path in directory.rglob("*")
+    }
+
+
+class TestPublish:
+    BUILT = ["collection_manifest.json", "manifest.json", "phase1.jsonl", "phase2.jsonl"]
+
+    def build_twice(self, tmp_path):
+        """A complete build, then a config whose records change every artifact."""
+        cfg = collection_fixture(tmp_path, n_records=5, factor=2)
+        out = tmp_path / "out"
+        assert run("build-collection", "--config", cfg, "--out", out) == 0
+        assert sorted(os.listdir(out)) == self.BUILT  # no stage directory left
+        collection_fixture(tmp_path, n_records=6, factor=2)
+        return cfg, out
+
+    def test_failed_rerun_keeps_the_earlier_run(self, tmp_path, monkeypatch, capsys):
+        cfg, out = self.build_twice(tmp_path)
+        before = snapshot(out)
+        write = collection.write_instances_jsonl
+
+        def write_then_fail(instances, path):
+            write(instances, path)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(collection, "write_instances_jsonl", write_then_fail)
+        assert run("build-collection", "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert snapshot(out) == before
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(manifest["outputs"]) == [n for n in self.BUILT if n != "manifest.json"]
+        for name, digest in manifest["outputs"].items():
+            assert sha256(out / name) == digest
+
+    def test_failed_publish_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
+        cfg, out = self.build_twice(tmp_path)
+        replace, moved = os.replace, []
+
+        def replace_once(source, target):
+            if moved:
+                raise OSError("disk full")
+            moved.append(Path(target).name)
+            replace(source, target)
+
+        monkeypatch.setattr(cli.os, "replace", replace_once)
+        assert run("build-collection", "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert moved == ["collection_manifest.json"]
+        assert sorted(os.listdir(out)) == [n for n in self.BUILT if n != "manifest.json"]
+
+
+def surrogate_case(tmp_path, case):
+    """(command, config, expected error) for input holding the JSON escape ``\\ud800``."""
+    if case == "score-id":
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"id": "\\ud800", "hypothesis": "a", "references": ["a"]}\n')
+        config = {"metric": "chrf_pp", "predictions": str(path)}
+        return "score", config, f"{path}: line 1: id has a lone surrogate at index 0"
+    if case in ("tokenizer-train-text", "fertility-text"):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"text": "ok"}\n{"text": "a\\ud800"}\n')
+        config = {"corpus": str(path), "format": "json_lines", "language": "ind"}
+        error = f"{path}: line 2: text has a lone surrogate at index 1"
+        if case == "tokenizer-train-text":
+            return "tokenizer-train", dict(config, vocab_size=300), error
+        model = tokenizer.train_bpe([CorpusDocument("0", "aku", "ind", "s")], 260)
+        tokenizer.save_model(model, tmp_path / "model.json")
+        config |= dict.fromkeys(("model_a", "model_b"), str(tmp_path / "model.json"))
+        return "fertility", config, error
+    # A third record, with the surrogate in one of the fields it writes out.
+    cfg = collection_fixture(tmp_path, n_records=2, factor=1)
+    path = tmp_path / "records.jsonl"
+    record = dict(json.loads(path.read_text(encoding="utf-8").splitlines()[0]), id="r9")
+    field = case.removeprefix("build-collection-")
+    if field == "slot":
+        record["fields"]["answer"], field = "a\ud800", "slot 'answer'"
+    else:
+        record[field] = "a\ud800"
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(record) + "\n")
+    config = json.loads(cfg.read_text(encoding="utf-8"))
+    return "build-collection", config, f"{path}: line 3: {field} has a lone surrogate at index 1"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "score-id",
+        "tokenizer-train-text",
+        "fertility-text",
+        "build-collection-slot",
+        "build-collection-label",
+        "build-collection-source",
+    ],
+)
+def test_lone_surrogate_names_file_and_line(tmp_path, capsys, case):
+    command, config, error = surrogate_case(tmp_path, case)
+    cfg = write_config(tmp_path / "cfg.json", config)
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
