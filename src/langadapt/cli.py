@@ -82,7 +82,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if value is not None:
             config[flag] = value
     config.setdefault("seed", 0)
-    config.setdefault("threads", os.cpu_count() or 1)
+    config.setdefault("threads", 1)
     config.setdefault("out", "out")
     return config
 

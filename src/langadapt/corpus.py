@@ -226,15 +226,35 @@ def _read_lines(path) -> Iterator[tuple[int, str]]:
 
 
 def _load_json(path, error: type[ValueError]):
-    """Load a whole JSON file; bad UTF-8 or syntax raises ``error`` naming the file."""
+    """Load a whole JSON file; bad UTF-8, syntax or a lone surrogate raises ``error`` naming it."""
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
-        return json.loads(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
+        value = json.loads(text)
+        # UTF-8 holds no surrogate, only an escape can: no backslash, no walk.
+        if "\\" in text:
+            _encodable_json(value, "")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: invalid UTF-8 at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from exc
+    return value
+
+
+def _encodable_json(value, what: str) -> None:
+    """:func:`_encodable` on each key and string in ``value``, at subscript path ``what``."""
+    if isinstance(value, str):
+        _encodable(value, what or "value")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _encodable_json(item, f"{what}[{index}]")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _encodable(key, f"key {key!r} in {what}" if what else f"key {key!r}")
+            _encodable_json(item, f"{what}[{key!r}]" if what else key)
 
 
 @dataclass

@@ -14,11 +14,12 @@ neighbouring pairs. A lazy max-heap of pair counts picks the next merge. The
 merges equal those of a full recount after every step.
 
 Encoding applies merges in learned order to each whitespace-free word and
-caches the result per word. A word keeps one list with the merge rank of
-each adjacent pair; the lowest rank is merged at its leftmost site, and only
-the two pairs next to that site are looked up again. Only :func:`count_words`
-splits text into words, for training and fertility alike; fertility encodes
-each distinct word once and counts whitespace bytes from lengths.
+keeps nothing per word, only the merge ranks per model. A word keeps one
+list with the merge rank of each adjacent pair; the lowest rank is merged at
+its leftmost site, and only the two pairs next to that site are looked up
+again. Only :func:`count_words` splits text into words, for training and
+fertility alike; fertility encodes each distinct word once and counts
+whitespace bytes from lengths.
 
 Token ids are laid out as: special placeholders first, then the 256 single
 bytes, then one piece per learned merge. Because the base alphabet is the
@@ -32,9 +33,9 @@ import hashlib
 import heapq
 import json
 import re
-import weakref
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -69,7 +70,6 @@ _WS_SET = frozenset(_WS)
 _SEG_RE = re.compile(rb"[ \t\n\r\x0b\x0c]+|[^ \t\n\r\x0b\x0c]+")
 
 _MIN_PAIR_FREQ = 2
-_WORD_CACHE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +79,7 @@ class TokenizerModel:
     ``pieces[i]`` is the byte sequence of token id ``i``. Models are
     immutable and safe to share across threads; they compare by identity,
     so compare :func:`serialize_model` output for structural equality.
+    The encoder's merge ranks are built on the first encode.
     """
 
     pieces: tuple[bytes, ...]
@@ -94,6 +95,10 @@ class TokenizerModel:
     @property
     def piece_count(self) -> int:
         return len(self.pieces)
+
+    @cached_property
+    def _ranks(self) -> dict[tuple[int, int], int]:
+        return {pair: rank for rank, pair in enumerate(self.merges)}
 
 
 def validate_model(model: TokenizerModel) -> None:
@@ -295,69 +300,27 @@ def _learn_merges(
     return merges
 
 
-class _Encoder:
-    """Merge ranks plus a per-word segmentation cache for one model."""
-
-    __slots__ = ("_base", "_ranks", "_none", "_cache")
-
-    def __init__(self, model: TokenizerModel):
-        self._base = model.byte_offset
-        self._ranks = {pair: rank for rank, pair in enumerate(model.merges)}
-        self._none = len(model.merges)  # the rank of a pair that is no merge
-        self._cache: dict[bytes, list[int]] = {}
-
-    def encode_bytes(self, data: bytes) -> list[int]:
-        if not data:
-            return []
-        base = self._base
-        out: list[int] = []
-        for segment in _SEG_RE.findall(data):
-            if segment[0] in _WS_SET:
-                out.extend(base + b for b in segment)
-            else:
-                out.extend(self._encode_word(segment))
-        return out
-
-    def _encode_word(self, word: bytes) -> list[int]:
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
-        base, get, none = self._base, self._ranks.get, self._none
-        ids = [base + b for b in word]
-        # ranks[i] is the merge rank of (ids[i], ids[i + 1]). A pair holding
-        # the id just minted ranks above the merge that minted it, so the
-        # other sites of that merge stay the minimum and are merged leftmost
-        # first: the left-to-right, non-overlapping replacement of BPE.
-        ranks = list(map(get, zip(ids, ids[1:]), repeat(none)))
-        while ranks:
-            r = min(ranks)
-            if r == none:
-                break
-            i = ranks.index(r)
-            ids[i] = new = base + 256 + r
-            del ids[i + 1]
-            del ranks[i]
-            if i:
-                ranks[i - 1] = get((ids[i - 1], new), none)
-            if i < len(ranks):
-                ranks[i] = get((new, ids[i + 1]), none)
-        if len(self._cache) >= _WORD_CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[word] = ids
-        return ids
-
-
-_ENCODERS: "weakref.WeakKeyDictionary[TokenizerModel, _Encoder]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _encoder_for(model: TokenizerModel) -> _Encoder:
-    encoder = _ENCODERS.get(model)
-    if encoder is None:
-        encoder = _Encoder(model)
-        _ENCODERS[model] = encoder
-    return encoder
+def _encode_word(model: TokenizerModel, word: bytes) -> list[int]:
+    base, get, none = model.byte_offset, model._ranks.get, len(model.merges)
+    ids = [base + b for b in word]
+    # ranks[i] is the merge rank of (ids[i], ids[i + 1]), ``none`` if no merge.
+    # A pair holding the id just minted ranks above the merge that minted it,
+    # so the other sites of that merge stay the minimum and are merged leftmost
+    # first: the left-to-right, non-overlapping replacement of BPE.
+    ranks = list(map(get, zip(ids, ids[1:]), repeat(none)))
+    while ranks:
+        r = min(ranks)
+        if r == none:
+            break
+        i = ranks.index(r)
+        ids[i] = new = base + 256 + r
+        del ids[i + 1]
+        del ranks[i]
+        if i:
+            ranks[i - 1] = get((ids[i - 1], new), none)
+        if i < len(ranks):
+            ranks[i] = get((new, ids[i + 1]), none)
+    return ids
 
 
 def encode(model: TokenizerModel, text: str) -> list[int]:
@@ -366,12 +329,19 @@ def encode(model: TokenizerModel, text: str) -> list[int]:
     Byte-level, so every string is encodable and the output never has more
     tokens than the text has UTF-8 bytes. Special ids are never produced.
     """
-    return _encoder_for(model).encode_bytes(text.encode("utf-8"))
+    return encode_bytes(model, text.encode("utf-8"))
 
 
 def encode_bytes(model: TokenizerModel, data: bytes) -> list[int]:
     """Encode a raw byte sequence (used when pieces are not valid UTF-8)."""
-    return _encoder_for(model).encode_bytes(data)
+    base = model.byte_offset
+    out: list[int] = []
+    for segment in _SEG_RE.findall(data):
+        if segment[0] in _WS_SET:
+            out.extend(base + b for b in segment)
+        else:
+            out.extend(_encode_word(model, segment))
+    return out
 
 
 def decode(model: TokenizerModel, ids: Iterable[int]) -> str:
@@ -421,10 +391,10 @@ def fertility(model: TokenizerModel, words: dict[str, list]) -> list[FertilityRe
     """
     if not words:
         raise ValueError("fertility requires a non-empty document stream")
-    encode_word = _encoder_for(model)._encode_word
     reports = []
     for lang, (n_docs, n_bytes, counts) in sorted(words.items()):
-        n_tokens = n_bytes + sum(f * (len(encode_word(w)) - len(w)) for w, f in counts.items())
+        saved = sum(f * (len(w) - len(_encode_word(model, w))) for w, f in counts.items())
+        n_tokens = n_bytes - saved
         n_words = sum(f * len(w.decode("utf-8").split()) for w, f in counts.items())
         reports.append(
             FertilityReport(

@@ -81,13 +81,17 @@ class EmbeddingMatrix:
         if self.data.ndim != 2 or self.rows < 1 or self.dims < 1:
             raise ValueError("embedding matrix must have at least one row and column")
         _check_hash(self.vocab_hash)
-        # A row of finite float32 values cannot overflow a float64 sum, so a
-        # non-finite row sum marks exactly the rows holding inf or nan.
-        with np.errstate(invalid="ignore"):
-            finite_rows = np.isfinite(self.data.sum(axis=1, dtype=np.float64))
-        if not finite_rows.all():
-            bad = int(np.flatnonzero(~finite_rows)[0])
+        bad = _first_non_finite_row(self.data)
+        if bad is not None:
             raise ValueError(f"non-finite value in embedding row {bad}")
+
+
+def _first_non_finite_row(data: np.ndarray) -> int | None:
+    # A row of finite float32 values cannot overflow a float64 sum, so a
+    # non-finite row sum marks exactly the rows holding inf or nan.
+    with np.errstate(invalid="ignore"):
+        finite_rows = np.isfinite(data.sum(axis=1, dtype=np.float64))
+    return None if finite_rows.all() else int(np.flatnonzero(~finite_rows)[0])
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
@@ -104,7 +108,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
-    """Read the binary embedding format into one writable float32 array."""
+    """Read the binary embedding format into one writable array of finite float32."""
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
         head = handle.read(_HEADER.size + _HASH_LEN)
@@ -138,6 +142,12 @@ def load_embeddings(path) -> EmbeddingMatrix:
                 f"expected {expected} bytes, got {size}"
             )
         data = np.fromfile(handle, dtype="<f4", count=rows * dims).reshape(rows, dims)
+    bad = _first_non_finite_row(data)
+    if bad is not None:
+        raise EmbeddingFormatError(
+            f"{path}: non-finite value in embedding row {bad} "
+            f"at byte offset {hash_end + bad * dims * 4}"
+        )
     return EmbeddingMatrix(data=data, vocab_hash=vocab_hash)
 
 

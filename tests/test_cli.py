@@ -60,6 +60,20 @@ class TestTokenizerTrain:
         assert run("tokenizer-train", "--config", config, "--out", out2, "--threads", 8) == 0
         assert sha256(out1 / "tokenizer.json") == sha256(out2 / "tokenizer.json")
 
+    def test_manifest_does_not_depend_on_cpu_count(self, tmp_path, toy_corpus, monkeypatch):
+        config = write_config(
+            tmp_path / "train.json",
+            {"corpus": str(toy_corpus), "language": "ind", "vocab_size": 300},
+        )
+        out = tmp_path / "out"
+        manifests = []
+        for cpus in (2, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert run("tokenizer-train", "--config", config, "--out", out) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["config"]["threads"] == 1
+
     def test_vocab_size_too_small_exits_nonzero(self, tmp_path, toy_corpus, capsys):
         config = write_config(
             tmp_path / "train.json",
@@ -280,6 +294,27 @@ class TestAdapt:
         assert report["averaged"] == 1
         assert report["fallback"] == 0
         assert report["per_piece_provenance"]["259"] == "averaged:2"
+
+    def test_non_finite_embedding_names_file_and_offset(self, tmp_path, capsys):
+        # The NaN goes into column 2 of row 17 after saving, as a corrupted
+        # file would hold it: 44 header bytes, then 4 float32 per row.
+        model_path, emb_path = self.prepare(tmp_path)
+        raw = bytearray(emb_path.read_bytes())
+        offset = 44 + 17 * 4 * 4
+        raw[offset + 8 : offset + 12] = np.float32(np.nan).tobytes()
+        emb_path.write_bytes(bytes(raw))
+        cfg = write_config(
+            tmp_path / "adapt.json",
+            {
+                "old_model": str(model_path),
+                "new_model": str(model_path),
+                "old_embeddings": str(emb_path),
+            },
+        )
+        assert run("adapt", "--config", cfg, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            f"error: {emb_path}: non-finite value in embedding row 17 at byte offset {offset}\n"
+        )
 
     def test_hash_mismatch_exits_nonzero(self, tmp_path, capsys):
         model_path, emb_path = self.prepare(tmp_path)
@@ -758,8 +793,19 @@ class TestPublish:
         assert sorted(os.listdir(out)) == [n for n in self.BUILT if n != "manifest.json"]
 
 
+# Cases whose surrogate sits in a whole-file JSON input: a template, a plan or a config.
+WHOLE_FILE_SURROGATE_CASES = (
+    "template-input_pattern",
+    "template-id",
+    "plan-source",
+    "special-token",
+)
+
+
 def surrogate_case(tmp_path, case):
     """(command, config, expected error) for input holding the JSON escape ``\\ud800``."""
+    if case in WHOLE_FILE_SURROGATE_CASES:
+        return whole_file_surrogate_case(tmp_path, case)
     if case == "score-id":
         path = tmp_path / "preds.jsonl"
         path.write_text('{"id": "\\ud800", "hypothesis": "a", "references": ["a"]}\n')
@@ -791,6 +837,36 @@ def surrogate_case(tmp_path, case):
     return "build-collection", config, f"{path}: line 3: {field} has a lone surrogate at index 1"
 
 
+def whole_file_surrogate_case(tmp_path, case):
+    """(command, config, expected error) for a whole-file JSON input holding ``\\ud800``."""
+    if case == "special-token":
+        path = tmp_path / "corpus.txt"
+        path.write_text("aku makan nasi\n", encoding="utf-8")
+        config = {
+            "corpus": str(path),
+            "language": "ind",
+            "vocab_size": 300,
+            "special_tokens": ["pad", "eos", "unk", "a\ud800"],
+        }
+        error = f"{tmp_path / 'cfg.json'}: special_tokens[3] has a lone surrogate at index 1"
+        return "tokenizer-train", config, error
+    config = json.loads(collection_fixture(tmp_path, n_records=2, factor=1).read_text("utf-8"))
+    if case == "plan-source":
+        # A source no record names, so nothing but the collection manifest writes it.
+        path, source = Path(config["plan"]), "x\ud800"
+        plan = json.loads(path.read_text(encoding="utf-8"))
+        plan["per_source"][source] = plan["per_source"]["identity"]
+        path.write_text(json.dumps(plan), encoding="utf-8")
+        error = f"{path}: key {source!r} in per_source has a lone surrogate at index 1"
+        return "build-collection", config, error
+    path = Path(config["templates"])
+    templates = json.loads(path.read_text(encoding="utf-8"))
+    key = case.removeprefix("template-")
+    templates[0][key] = "a\ud800"
+    path.write_text(json.dumps(templates), encoding="utf-8")
+    return "build-collection", config, f"{path}: [0][{key!r}] has a lone surrogate at index 1"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -800,6 +876,7 @@ def surrogate_case(tmp_path, case):
         "build-collection-slot",
         "build-collection-label",
         "build-collection-source",
+        *WHOLE_FILE_SURROGATE_CASES,
     ],
 )
 def test_lone_surrogate_names_file_and_line(tmp_path, capsys, case):

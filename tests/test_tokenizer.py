@@ -1,5 +1,7 @@
+import itertools
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -315,19 +317,21 @@ class TestFertility:
             for lang, (n_docs, n_tokens, n_words) in sorted(expected.items())
         ]
 
-    def test_results_do_not_depend_on_cache_eviction(self, monkeypatch):
-        rng = random.Random(5)
+    def test_keeps_no_state_per_word(self):
+        # Only the merge ranks, built by the first encode, stay with the model;
+        # fertility over 20 000 distinct words leaves nothing behind.
         model = tokenizer.train_bpe(docs_from(["aku makan nasi", "nasi goreng makan"]), 275)
-        texts = [" ".join(random_words(rng, n_types=12, n_words=20)) for _ in range(20)]
-        docs = docs_from(texts[:10]) + docs_from(texts[10:], language="sun")
-
-        def run():
-            tokenizer._ENCODERS.pop(model, None)
-            return fertility(model, count_words(docs)), [tokenizer.encode(model, t) for t in texts]
-
-        cached = run()
-        monkeypatch.setattr(tokenizer, "_WORD_CACHE_LIMIT", 1)
-        assert run() == cached
+        tokenizer.encode(model, "aku")
+        words = ["".join(letters) for letters in itertools.product("agikmnsu", repeat=5)]
+        table = count_words(docs_from([" ".join(words[:20_000])]))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fertility(model, table)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
 
     def test_empty_stream(self):
         model = tokenizer.train_bpe(docs_from(["ab ab"]), 260)
