@@ -124,8 +124,8 @@ def normalize(text: str) -> str:
 def _parse_json_line(path, lineno: int, line: str) -> dict | None:
     """Parse one JSON-lines record: ``None`` for a blank line, else an object.
 
-    Invalid JSON and non-object values raise :class:`IngestError` naming the
-    file and the 1-based ``lineno``.
+    Invalid JSON (nesting too deep for the parser included) and non-object
+    values raise :class:`IngestError` naming the file and the 1-based ``lineno``.
     """
     payload = line.strip()
     if not payload:
@@ -134,6 +134,8 @@ def _parse_json_line(path, lineno: int, line: str) -> dict | None:
         record = json.loads(payload)
     except json.JSONDecodeError as exc:
         raise IngestError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise IngestError(f"{path}: line {lineno}: invalid JSON: nested too deeply") from exc
     if not isinstance(record, dict):
         raise IngestError(f"{path}: line {lineno}: record must be an object")
     return record
@@ -226,7 +228,8 @@ def _read_lines(path) -> Iterator[tuple[int, str]]:
 
 
 def _load_json(path, error: type[ValueError]):
-    """Load a whole JSON file; bad UTF-8, syntax or a lone surrogate raises ``error`` naming it."""
+    """Load a whole JSON file; bad UTF-8, syntax, nesting too deep for the parser
+    or a lone surrogate raises ``error`` naming it."""
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
@@ -239,6 +242,8 @@ def _load_json(path, error: type[ValueError]):
         raise error(f"{path}: invalid UTF-8 at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # from the parser or the surrogate walk
+        raise error(f"{path}: invalid JSON: nested too deeply") from exc
     except ValueError as exc:
         raise error(f"{path}: {exc}") from exc
     return value

@@ -124,6 +124,32 @@ class TestTokenizerTrain:
         )
 
 
+    def test_deeply_nested_json_line_names_file_and_line(self, tmp_path, capsys):
+        corpus_path = tmp_path / "train.jsonl"
+        nested = "[" * 5000 + "]" * 5000
+        corpus_path.write_text(f'{{"text": "aku makan"}}\n{{"text": {nested}}}\n', encoding="utf-8")
+        config = write_config(
+            tmp_path / "train.json",
+            {
+                "corpus": [{"path": str(corpus_path), "format": "json_lines"}],
+                "language": "ind",
+                "vocab_size": 300,
+            },
+        )
+        assert run("tokenizer-train", "--config", config, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus_path}: line 2: invalid JSON: nested too deeply\n"
+        )
+
+    def test_deeply_nested_config_names_file(self, tmp_path, toy_corpus, capsys):
+        config = tmp_path / "train.json"
+        payload = json.dumps({"corpus": str(toy_corpus), "language": "ind", "vocab_size": 300})
+        nested = "[" * 5000 + "]" * 5000
+        config.write_text(payload[:-1] + f', "special_tokens": {nested}}}', encoding="utf-8")
+        assert run("tokenizer-train", "--config", config, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {config}: invalid JSON: nested too deeply\n"
+
+
 class TestFertility:
     def test_same_model_twice_zero_improvement(self, tmp_path, toy_corpus):
         train_cfg = write_config(

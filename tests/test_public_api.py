@@ -1,5 +1,5 @@
 """Each module's ``__all__`` names only what the module defines; importing
-``metrics`` or ``collection`` alone does not load numpy."""
+``metrics``, ``collection`` or ``tokenizer`` alone does not load numpy."""
 
 import importlib
 import os
@@ -25,9 +25,9 @@ def test_all_names_exist_and_star_import(name):
     assert set(exported) <= namespace.keys()
 
 
-@pytest.mark.parametrize("name", ["metrics", "collection"])
+@pytest.mark.parametrize("name", ["metrics", "collection", "tokenizer"])
 def test_import_leaves_numpy_unloaded(name):
-    # Both import numpy inside the functions that use it: loaded at import
+    # Each imports numpy inside the functions that use it: loaded at import
     # time, it comes before the other modules and leaves every CLI process
     # larger (see collection.subsample_to_target).
     code = f"import sys, langadapt.{name}; print('numpy' in sys.modules)"

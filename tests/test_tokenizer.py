@@ -2,6 +2,7 @@ import itertools
 import operator
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,6 +34,26 @@ def random_words(rng, n_types=60, n_words=100):
 
 def byte_id(model, char):
     return model.byte_offset + ord(char)
+
+
+# (_ARRAY_MIN_WORDS, _ENCODE_BATCH_BYTES): the per-word loop for every input,
+# then the array rounds for every input, with batches of one and of 24 bytes
+# so that a word list crosses batches and a word can outgrow its batch.
+ENCODER_PATHS = {"loop": (10**9, 65536), "arrays-1": (0, 1), "arrays-24": (0, 24)}
+
+
+def encoder_path(name):
+    array_min_words, batch_bytes = ENCODER_PATHS[name]
+    return mock.patch.multiple(
+        tokenizer, _ARRAY_MIN_WORDS=array_min_words, _ENCODE_BATCH_BYTES=batch_bytes
+    )
+
+
+def assert_encodes_like_naive(model, data):
+    expected = naive_encode_bytes(list(model.pieces), list(model.merges), model.byte_offset, data)
+    for path in ENCODER_PATHS:
+        with encoder_path(path):
+            assert tokenizer.encode_bytes(model, data) == expected, path
 
 
 @st.composite
@@ -185,10 +206,7 @@ class TestEncodeDecode:
         rng = random.Random(11)
         for _ in range(50):
             text = " ".join(random_words(rng, n_types=20, n_words=8))
-            data = text.encode("utf-8")
-            assert tokenizer.encode_bytes(model, data) == naive_encode_bytes(
-                list(model.pieces), list(model.merges), model.byte_offset, data
-            )
+            assert_encodes_like_naive(model, text.encode("utf-8"))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -199,9 +217,34 @@ class TestEncodeDecode:
     def test_tiny_alphabet_matches_naive_merge_replay(self, texts, vocab_size, data):
         assume(any(text.split() for text in texts))
         model = tokenizer.train_bpe(docs_from([t.decode("ascii") for t in texts]), vocab_size)
-        assert tokenizer.encode_bytes(model, data) == naive_encode_bytes(
-            list(model.pieces), list(model.merges), model.byte_offset, data
-        )
+        assert_encodes_like_naive(model, data)
+
+    def test_runs_of_one_byte_match_naive_merge_replay(self):
+        # (a, a), then (aa, aa) and (aa, a): every run length from 1 to 20,
+        # odd and even, puts merge sites of one rank side by side.
+        model = tokenizer.train_bpe(docs_from(["aaaaaaa aaaa aaa"]), 280)
+        assert model.merges[0] == (byte_id(model, "a"), byte_id(model, "a"))
+        assert_encodes_like_naive(model, b" ".join(b"a" * n for n in range(1, 21)))
+        assert_encodes_like_naive(model, b"a" * 99 + b"b" + b"a" * 98)
+
+    def test_word_longer_than_its_batch_matches_naive_merge_replay(self, model):
+        # Under the 24-byte batches a 180-byte word is a batch of its own,
+        # between batches of several short words.
+        word = b"makannasigorengakuminumkopi" * 7
+        assert len(word) > 24 * 7
+        assert_encodes_like_naive(model, b"aku makan " + word + b" nasi goreng aku")
+
+    def test_model_without_merges_matches_naive_merge_replay(self):
+        model = tokenizer.train_bpe(docs_from(["xy"]), 259)
+        assert model.merges == ()
+        assert_encodes_like_naive(model, b"xy yx xxyy a b\tab")
+
+    @pytest.mark.parametrize("names", [["pad", "eos", "unk"], ["pad", "eos", "unk", "sep", "cls"]])
+    def test_byte_offset_matches_naive_merge_replay(self, names):
+        texts = ["aku makan nasi goreng", "makan makan nasi aku"]
+        model = tokenizer.train_bpe(docs_from(texts), 256 + len(names) + 20, special_names=names)
+        assert model.byte_offset == len(names)
+        assert_encodes_like_naive(model, b"aku makan nasi goreng kopi \xff\x00 nasinasi")
 
     def test_decode_out_of_range(self, model):
         with pytest.raises(IndexError, match="out of range"):
@@ -332,6 +375,40 @@ class TestFertility:
         finally:
             tracemalloc.stop()
         assert retained < 2**20
+
+    def test_language_without_words(self):
+        # ``sun`` has a document but no word, so its word list is empty on
+        # either encoder path; its whitespace bytes are its tokens.
+        model = tokenizer.train_bpe(docs_from(["aku makan nasi", "nasi goreng makan"]), 275)
+        docs = [
+            CorpusDocument(id="0", text=" \t ", language="sun", source="s"),
+            CorpusDocument(id="1", text="aku makan nasi goreng", language="ind", source="s"),
+        ]
+        pieces, merges, k = list(model.pieces), list(model.merges), model.byte_offset
+        ind_tokens = len(naive_encode_bytes(pieces, merges, k, b"aku makan nasi goreng"))
+        for path in ENCODER_PATHS:
+            with encoder_path(path):
+                reports = fertility(model, count_words(docs))
+            assert [(r.language, r.total_tokens, r.tokens_per_word) for r in reports] == [
+                ("ind", ind_tokens, ind_tokens / 4),
+                ("sun", 3, 0.0),
+            ], path
+
+    def test_memory_follows_one_batch(self):
+        # 262 144 distinct six-byte words go through the array rounds in
+        # 64 KB batches and peak under 4 MB traced; as one batch they peak
+        # near 75 MB.
+        model = tokenizer.train_bpe(docs_from(["aku makan nasi", "nasi goreng makan"]), 275)
+        words = ["".join(letters) for letters in itertools.product("agikmnsu", repeat=6)]
+        table = count_words(docs_from([" ".join(words)]))
+        expected = fertility(model, table)  # numpy and the rank arrays load here
+        tracemalloc.start()
+        try:
+            assert fertility(model, table) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_empty_stream(self):
         model = tokenizer.train_bpe(docs_from(["ab ab"]), 260)
