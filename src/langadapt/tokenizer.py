@@ -16,18 +16,15 @@ merges equal those of a full recount after every step.
 Encoding applies merges in learned order to each whitespace-free word and
 keeps nothing per word, only the merge rank lookups per model. All of it goes
 through ``_encode_words``: :func:`encode_bytes` passes the words of its text,
-:func:`fertility` each language's distinct words. Below ``_ARRAY_MIN_WORDS``
-words, each word keeps one list with the merge rank of each adjacent pair;
-the lowest rank is merged at its leftmost site, and only the two pairs next
-to that site are looked up again. From that many words on, encoding runs in
-array rounds over consecutive batches of at most ``_ENCODE_BATCH_BYTES``: a
-round merges every site of each word's lowest rank at once, looks up again
-only the pairs beside the new ids, and drops the words left with no merge.
-Both give the same ids, because a pair holding a new id ranks above the merge
-that minted it. Both stay because each wins on real traffic: one word (as
-``adapt`` encodes each piece) costs the loop microseconds and the arrays a
-fixed cost per call and round, while a fertility table of thousands of words
-encodes two to four times faster in arrays.
+:func:`fertility` each language's distinct words. It runs array rounds over
+consecutive batches of at most ``_ENCODE_BATCH_BYTES``: a round merges every
+site of each word's lowest rank at once, looks up again only the pairs beside
+the new ids, and drops the words left with no merge. This is the left-to-right
+replacement of BPE, because a pair holding a new id ranks above the merge that
+minted it. Many short inputs, such as the pieces ``adapt`` averages, go in
+one call joined by spaces: no learned piece holds an ASCII whitespace byte
+(:func:`validate_model` rejects one), so each whitespace byte is a token of
+its own and the ids split back at them.
 
 Only :func:`count_words` splits text into words, for training and fertility
 alike; fertility encodes each distinct word once and counts whitespace bytes
@@ -51,7 +48,7 @@ from functools import cached_property
 from itertools import accumulate, chain, pairwise, repeat
 from operator import mul, sub
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import CorpusDocument, _load_json, _typed
 
@@ -92,8 +89,8 @@ class TokenizerModel:
     ``pieces[i]`` is the byte sequence of token id ``i``. Models are
     immutable and safe to share across threads; they compare by identity,
     so compare :func:`serialize_model` output for structural equality.
-    Each encoder path builds its merge rank lookups on first use and keeps
-    them with the model.
+    The encoder builds its merge rank lookups on first use and keeps them
+    with the model.
     """
 
     pieces: tuple[bytes, ...]
@@ -111,12 +108,8 @@ class TokenizerModel:
         return len(self.pieces)
 
     @cached_property
-    def _ranks(self) -> dict[tuple[int, int], int]:
-        return {pair: rank for rank, pair in enumerate(self.merges)}
-
-    @cached_property
     def _rank_arrays(self):
-        """The array encoder's lookups: the rank of every byte pair as a flat
+        """The encoder's lookups: the rank of every byte pair as a flat
         256x256 table, and the sorted merge keys ``left * piece_count + right``
         (int64) with the rank of each; ``len(merges)`` means no merge."""
         import numpy as np  # not at the top: see collection.subsample_to_target
@@ -152,8 +145,11 @@ def validate_model(model: TokenizerModel) -> None:
         piece_id = k + 256 + rank
         if not (k <= left < piece_id and k <= right < piece_id):
             raise ValueError(f"merge {rank} references undefined or special ids")
-        if model.pieces[piece_id] != model.pieces[left] + model.pieces[right]:
+        piece = model.pieces[piece_id]
+        if piece != model.pieces[left] + model.pieces[right]:
             raise ValueError(f"piece {piece_id} does not equal its merge concatenation")
+        if piece.split() != [piece]:
+            raise ValueError(f"piece {piece_id} holds an ASCII whitespace byte")
     for piece in model.pieces:
         if not piece:
             raise ValueError("pieces must be non-empty byte sequences")
@@ -330,26 +326,19 @@ def _learn_merges(
     return merges
 
 
-# Below this many words the per-word loop is faster, at or above it the array
-# rounds: the loop pays per word, the arrays per call and round (with 3 741
-# merges, 64 words take 0.39 ms by loop and 0.42 ms by arrays, 96 words 0.62
-# and 0.52 ms).
-_ARRAY_MIN_WORDS = 96
 # The array rounds take words in consecutive batches of at most this many
 # bytes, so their memory follows one batch; a longer word is a batch alone.
 _ENCODE_BATCH_BYTES = 65536
 
 
 def _encode_words(
-    model: TokenizerModel, words: Collection[bytes]
+    model: TokenizerModel, words: Iterable[bytes]
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Encode words (non-empty, no whitespace byte) in consecutive batches.
 
     Each batch comes as the token ids of its words back to back, and the
     number of ids of each word.
     """
-    if len(words) < _ARRAY_MIN_WORDS:
-        return ((ids, [len(ids)]) for ids in map(_encode_word, repeat(model), words))
     return map(_encode_batch, repeat(model), _batches(words))
 
 
@@ -366,32 +355,9 @@ def _batches(words: Iterable[bytes]) -> Iterator[list[bytes]]:
         yield batch
 
 
-def _encode_word(model: TokenizerModel, word: bytes) -> list[int]:
-    base, get, none = model.byte_offset, model._ranks.get, len(model.merges)
-    ids = [base + b for b in word]
-    # ranks[i] is the merge rank of (ids[i], ids[i + 1]), ``none`` if no merge.
-    # A pair holding the id just minted ranks above the merge that minted it,
-    # so the other sites of that merge stay the minimum and are merged leftmost
-    # first: the left-to-right, non-overlapping replacement of BPE.
-    ranks = list(map(get, zip(ids, ids[1:]), repeat(none)))
-    while ranks:
-        r = min(ranks)
-        if r == none:
-            break
-        i = ranks.index(r)
-        ids[i] = new = base + 256 + r
-        del ids[i + 1]
-        del ranks[i]
-        if i:
-            ranks[i - 1] = get((ids[i - 1], new), none)
-        if i < len(ranks):
-            ranks[i] = get((new, ids[i + 1]), none)
-    return ids
-
-
 def _encode_batch(model: TokenizerModel, words: list[bytes]) -> tuple[list[int], list[int]]:
-    """:func:`_encode_word` of each word, back to back, and each one's number
-    of ids, computed in rounds over arrays of all the words.
+    """The token ids of each word, back to back, and each one's number of ids,
+    computed in rounds over arrays of all the words.
 
     ``ids`` holds the live words back to back and ``ranks[i]`` the merge rank
     of ``(ids[i], ids[i + 1])``: ``none`` if no merge, ``end`` at a word's last

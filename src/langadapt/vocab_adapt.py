@@ -3,8 +3,8 @@
 Each new piece found verbatim in the old vocabulary copies its row exactly.
 Any other piece is re-encoded with the old tokenizer and initialized to the
 arithmetic mean of the resulting rows, accumulated in 64-bit in subtoken
-order and stored as 32-bit. Pieces that encode to nothing fall back to the
-global mean row, as do special tokens whose names the old model lacks.
+order and stored as 32-bit. Special tokens whose names the old model lacks
+fall back to the global mean row.
 
 The old matrix is held once, as the float32 array read from its file;
 float64 appears only in the accumulator of one averaged row and of the
@@ -17,10 +17,11 @@ import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .tokenizer import TokenizerModel, encode_bytes, model_hash
+from .tokenizer import TokenizerModel, encode_bytes, model_hash, validate_model
 
 __all__ = [
     "AdaptationReport",
@@ -198,26 +199,32 @@ def adapt_embeddings(
             f"({old_tok.piece_count})"
         )
     old_emb.validate()
-    for offset, model in ((old_tok.byte_offset, old_tok), (new_tok.byte_offset, new_tok)):
-        for b in range(256):
-            if model.pieces[offset + b] != bytes([b]):
-                raise ValueError("tokenizers do not share the byte-level base alphabet")
+    validate_model(old_tok)
+    validate_model(new_tok)
 
     old32 = old_emb.data
     old_index = {piece: i for i, piece in enumerate(old_tok.pieces)}
     new_special_names = {i: name for name, i in new_tok.special_tokens.items()}
+    missing = {
+        new_id: piece
+        for new_id, piece in enumerate(new_tok.pieces)
+        if new_id not in new_special_names and piece not in old_index
+    }
+    # No piece holds a whitespace byte and each whitespace byte is a token of
+    # its own, so the pieces joined by spaces encode to theirs split at spaces.
+    space = old_tok.byte_offset + ord(" ")
+    runs = groupby(encode_bytes(old_tok, b" ".join(missing.values())), space.__ne__)
+    encoded = dict(zip(missing, (list(ids) for is_piece, ids in runs if is_piece)))
     new_data = np.empty((new_tok.piece_count, old_emb.dims), dtype=np.float32)
     provenance: dict[int, str] = {}
     fallback_ids: list[int] = []
 
     for new_id, piece in enumerate(new_tok.pieces):
-        subtokens = ()
+        subtokens = encoded.get(new_id, ())
         if new_id in new_special_names:
             old_id = old_tok.special_tokens.get(new_special_names[new_id])
         else:
             old_id = old_index.get(piece)
-            if old_id is None:
-                subtokens = encode_bytes(old_tok, piece)
         if old_id is not None:
             new_data[new_id] = old32[old_id]
             provenance[new_id] = "copied"

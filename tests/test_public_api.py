@@ -1,5 +1,6 @@
 """Each module's ``__all__`` names only what the module defines; importing
-``metrics``, ``collection`` or ``tokenizer`` alone does not load numpy."""
+``metrics``, ``collection`` or ``tokenizer`` alone does not load numpy; the
+benchmark tracer finds every layer function it wraps."""
 
 import importlib
 import os
@@ -36,3 +37,13 @@ def test_import_leaves_numpy_unloaded(name):
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert result.stdout == "False\n"
+
+
+def test_benchmark_tracer_finds_every_layer():
+    # perfbench/spans.py wraps layer functions by module attribute (among them
+    # ``vocab_adapt.encode_bytes``); renaming one would break traced runs only.
+    paths = [Path(__file__).parents[1] / "perfbench", Path(langadapt.__file__).parents[1]]
+    code = "import spans; spans.install(spans.Tracer(0))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr

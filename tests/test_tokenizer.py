@@ -36,17 +36,13 @@ def byte_id(model, char):
     return model.byte_offset + ord(char)
 
 
-# (_ARRAY_MIN_WORDS, _ENCODE_BATCH_BYTES): the per-word loop for every input,
-# then the array rounds for every input, with batches of one and of 24 bytes
-# so that a word list crosses batches and a word can outgrow its batch.
-ENCODER_PATHS = {"loop": (10**9, 65536), "arrays-1": (0, 1), "arrays-24": (0, 24)}
+# _ENCODE_BATCH_BYTES: the default, then batches of one and of 24 bytes so
+# that a word list crosses batches and a word can outgrow its batch.
+ENCODER_PATHS = {"arrays": tokenizer._ENCODE_BATCH_BYTES, "arrays-1": 1, "arrays-24": 24}
 
 
 def encoder_path(name):
-    array_min_words, batch_bytes = ENCODER_PATHS[name]
-    return mock.patch.multiple(
-        tokenizer, _ARRAY_MIN_WORDS=array_min_words, _ENCODE_BATCH_BYTES=batch_bytes
-    )
+    return mock.patch.object(tokenizer, "_ENCODE_BATCH_BYTES", ENCODER_PATHS[name])
 
 
 def assert_encodes_like_naive(model, data):
@@ -291,6 +287,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="bad.json: invalid JSON"):
             tokenizer.load_model(path)
 
+    @pytest.mark.parametrize("ws", list(ASCII_WS))
+    def test_load_rejects_piece_holding_whitespace(self, tmp_path, ws):
+        # Encoding splits text at whitespace before it merges, so a learned
+        # piece holding a whitespace byte could never be produced.
+        specials = {"pad": 0, "eos": 1, "unk": 2}
+        base = [b"<pad>", b"<eos>", b"<unk>"] + [bytes([i]) for i in range(256)]
+        model = tokenizer.TokenizerModel(
+            pieces=tuple(base + [b"a" + bytes([ws])]),
+            merges=((3 + ord("a"), 3 + ws),),
+            special_tokens=specials,
+        )
+        path = tmp_path / "spaced.json"
+        path.write_bytes(tokenizer.serialize_model(model))
+        with pytest.raises(ValueError, match="spaced.json: piece 259 holds an ASCII whitespace byte"):
+            tokenizer.load_model(path)
+
     def test_load_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": 1}', encoding="utf-8")
@@ -361,12 +373,12 @@ class TestFertility:
         ]
 
     def test_keeps_no_state_per_word(self):
-        # Only the merge ranks, built by the first encode, stay with the model;
+        # Only the merge ranks, built by the first call, stay with the model;
         # fertility over 20 000 distinct words leaves nothing behind.
         model = tokenizer.train_bpe(docs_from(["aku makan nasi", "nasi goreng makan"]), 275)
-        tokenizer.encode(model, "aku")
         words = ["".join(letters) for letters in itertools.product("agikmnsu", repeat=5)]
         table = count_words(docs_from([" ".join(words[:20_000])]))
+        fertility(model, table)  # numpy and the rank arrays load here
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -377,8 +389,8 @@ class TestFertility:
         assert retained < 2**20
 
     def test_language_without_words(self):
-        # ``sun`` has a document but no word, so its word list is empty on
-        # either encoder path; its whitespace bytes are its tokens.
+        # ``sun`` has a document but no word, so its word list is empty at
+        # every batch size; its whitespace bytes are its tokens.
         model = tokenizer.train_bpe(docs_from(["aku makan nasi", "nasi goreng makan"]), 275)
         docs = [
             CorpusDocument(id="0", text=" \t ", language="sun", source="s"),

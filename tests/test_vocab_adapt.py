@@ -2,6 +2,7 @@ import random
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -277,6 +278,31 @@ class TestAdaptEmbeddings:
         assert len(fallback_ids) == report.fallback >= 1
         for new_id in fallback_ids:
             assert new_emb.data[new_id].tobytes() == expected.tobytes()
+
+    def test_encodes_missing_pieces_in_one_call(self, old_model, new_model):
+        # Every piece missing from the old vocabulary goes through one
+        # ``vocab_adapt.encode_bytes`` call, the name the benchmark tracer wraps.
+        old_emb = matrix_for(old_model, seed=7)
+        with mock.patch.object(
+            vocab_adapt, "encode_bytes", wraps=vocab_adapt.encode_bytes
+        ) as encode_bytes:
+            _, report = adapt_embeddings(old_model, old_emb, new_model)
+        assert report.averaged > 1
+        assert encode_bytes.call_count == 1
+
+    @pytest.mark.parametrize("role", ["old", "new"])
+    def test_rejects_piece_holding_whitespace(self, old_model, role):
+        # Built by hand, since training never merges across whitespace: the
+        # joined missing pieces would not split back at their spaces.
+        base = [b"<pad>", b"<eos>", b"<unk>"] + [bytes([i]) for i in range(256)]
+        spaced = TokenizerModel(
+            pieces=tuple(base + [b"a ", b"a b"]),
+            merges=((3 + ord("a"), 3 + ord(" ")), (259, 3 + ord("b"))),
+            special_tokens={"pad": 0, "eos": 1, "unk": 2},
+        )
+        old_tok, new_tok = (spaced, old_model) if role == "old" else (old_model, spaced)
+        with pytest.raises(ValueError, match="piece 259 holds an ASCII whitespace byte"):
+            adapt_embeddings(old_tok, matrix_for(old_tok), new_tok)
 
     def test_permutation_equivariance_over_independent_merges(self):
         # Two hand-built models containing the same pieces, with the order of
