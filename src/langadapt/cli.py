@@ -107,15 +107,18 @@ def _input_files(config: dict, key: str) -> list[dict]:
         try:
             for field, value in corpus._object(entry, _ENTRY_KEYS[key], "entry").items():
                 corpus._typed(value, _STR, field)
+            path = entry["path"]
+            resolved = {
+                "path": path,
+                "format": entry.get("format", config.get("format", corpus.PLAIN_LINES)),
+                "language": entry.get("language", config.get("language")),
+                "source": entry.get("source", config.get("source", Path(path).stem)),
+            }
+            corpus._check_format(resolved["format"])
+            if resolved["language"] is not None:  # records may name their own
+                corpus._check_language(resolved["language"])
         except ValueError as exc:
             raise ConfigError(f"{key} entry {entry!r}: {exc}") from exc
-        path = entry["path"]
-        resolved = {
-            "path": path,
-            "format": entry.get("format", config.get("format", corpus.PLAIN_LINES)),
-            "language": entry.get("language", config.get("language")),
-            "source": entry.get("source", config.get("source", Path(path).stem)),
-        }
         files.append(resolved)
     return files
 

@@ -15,7 +15,7 @@ import json
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "CorpusDocument",
@@ -52,6 +52,11 @@ def _check_language(code: str) -> None:
     ascii3 = isinstance(code, str) and len(code) == 3 and code.isascii()
     if not ascii3 or not code.isalpha() or not code.islower():
         raise ValueError(f"language must be a lowercase 3-letter code, got {code!r}")
+
+
+def _check_format(format: str) -> None:
+    if format not in _FORMATS:
+        raise ValueError(f"unknown corpus format {format!r}; expected one of {_FORMATS}")
 
 
 @dataclass(frozen=True)
@@ -227,6 +232,22 @@ def _read_lines(path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _batches(items: Iterable, cost: Callable[..., int], budget: int) -> Iterator[list]:
+    """Consecutive runs of ``items`` whose costs sum to at most ``budget``; an
+    item above the budget is a run of its own."""
+    batch: list = []
+    size = 0
+    for item in items:
+        spent = cost(item)
+        if batch and size + spent > budget:
+            yield batch
+            batch, size = [], 0
+        batch.append(item)
+        size += spent
+    if batch:
+        yield batch
+
+
 def _load_json(path, error: type[ValueError]):
     """Load a whole JSON file; bad UTF-8, syntax, nesting too deep for the parser
     or a lone surrogate raises ``error`` naming it."""
@@ -288,8 +309,7 @@ def ingest(
     numbered the same way). Lines end at ``"\n"`` only. Invalid UTF-8 and
     malformed records raise :class:`IngestError` naming the 1-based line.
     """
-    if format not in _FORMATS:
-        raise ValueError(f"unknown corpus format {format!r}; expected one of {_FORMATS}")
+    _check_format(format)
     if stats is None:
         stats = IngestStats()
     seen: set[str] = set()

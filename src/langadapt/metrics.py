@@ -27,7 +27,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import IngestError, _parse_json_line, _read_lines, _record_id, _typed, normalize
+from .corpus import (
+    IngestError, _batches, _parse_json_line, _read_lines, _record_id, _typed, normalize
+)
 
 __all__ = [
     "LabeledPair",
@@ -202,18 +204,8 @@ def _fbeta(precision: float, recall: float, beta: float) -> float:
 _CHRF_BATCH_CHARS = 8192
 
 
-def _chrf_batches(pairs: Sequence[PredictionPair]):
-    batch: list[PredictionPair] = []
-    size = 0
-    for pair in pairs:
-        cost = len(pair.hypothesis) + 1 + sum(len(ref) + 1 for ref in pair.references)
-        if batch and size + cost > _CHRF_BATCH_CHARS:
-            yield batch
-            batch, size = [], 0
-        batch.append(pair)
-        size += cost
-    if batch:
-        yield batch
+def _chrf_cost(pair: PredictionPair) -> int:
+    return len(pair.hypothesis) + 1 + sum(len(ref) + 1 for ref in pair.references)
 
 
 def _matched_counts(codes, lengths, hyp_of, orders: int) -> list[list[int]]:
@@ -290,7 +282,7 @@ def _chrf_scores(pairs: Sequence[PredictionPair], char_order: int, word_order: i
     # Imported here for the reason given in collection.subsample_to_target.
     import numpy as np
 
-    for batch in _chrf_batches(pairs):
+    for batch in _batches(pairs, _chrf_cost, _CHRF_BATCH_CHARS):
         # Each pair's hypothesis, then its references. Character n-grams skip
         # whitespace; word n-grams come from whitespace tokenization.
         texts: list[str] = []

@@ -23,8 +23,8 @@ the new ids, and drops the words left with no merge. This is the left-to-right
 replacement of BPE, because a pair holding a new id ranks above the merge that
 minted it. Many short inputs, such as the pieces ``adapt`` averages, go in
 one call joined by spaces: no learned piece holds an ASCII whitespace byte
-(:func:`validate_model` rejects one), so each whitespace byte is a token of
-its own and the ids split back at them.
+(no :class:`TokenizerModel` with one can be made), so each whitespace byte is
+a token of its own and the ids split back at them.
 
 Only :func:`count_words` splits text into words, for training and fertility
 alike; fertility encodes each distinct word once and counts whitespace bytes
@@ -48,9 +48,10 @@ from functools import cached_property
 from itertools import accumulate, chain, pairwise, repeat
 from operator import mul, sub
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .corpus import CorpusDocument, _load_json, _typed
+from .corpus import CorpusDocument, _batches, _load_json, _typed
 
 __all__ = [
     "FertilityReport",
@@ -68,7 +69,6 @@ __all__ = [
     "save_model",
     "serialize_model",
     "train_bpe",
-    "validate_model",
 ]
 
 MODEL_FORMAT_VERSION = 1
@@ -86,17 +86,52 @@ _MIN_PAIR_FREQ = 2
 class TokenizerModel:
     """A learned subword vocabulary plus its merge rules and special tokens.
 
-    ``pieces[i]`` is the byte sequence of token id ``i``. Models are
-    immutable and safe to share across threads; they compare by identity,
-    so compare :func:`serialize_model` output for structural equality.
-    The encoder builds its merge rank lookups on first use and keeps them
-    with the model.
+    ``pieces[i]`` is the byte sequence of token id ``i``. Construction
+    checks every structural invariant and raises ValueError if one is
+    broken, so a model that exists is valid; its fields are stored as
+    tuples and a read-only mapping. Models are immutable and safe to share across
+    threads; they compare by identity, so compare :func:`serialize_model`
+    output for structural equality. The encoder builds its merge rank
+    lookups on first use and keeps them with the model.
     """
 
     pieces: tuple[bytes, ...]
     merges: tuple[tuple[int, int], ...]
-    special_tokens: dict[str, int]
-    version: int = MODEL_FORMAT_VERSION
+    special_tokens: Mapping[str, int]
+
+    def __post_init__(self) -> None:
+        # Read-only copies, so no caller can make a checked model invalid.
+        specials = MappingProxyType(dict(self.special_tokens))
+        object.__setattr__(self, "special_tokens", specials)
+        object.__setattr__(self, "pieces", tuple(self.pieces))
+        object.__setattr__(self, "merges", tuple(map(tuple, self.merges)))
+        k = len(specials)
+        missing = [name for name in REQUIRED_SPECIALS if name not in specials]
+        if missing:
+            raise ValueError(f"special tokens {missing} are required")
+        if sorted(specials.values()) != list(range(k)):
+            raise ValueError("special token ids must be exactly 0..len(specials)-1")
+        if len(self.pieces) < k + 256:
+            raise ValueError("model must contain the 256 single-byte base pieces")
+        for i in range(256):
+            if self.pieces[k + i] != bytes([i]):
+                raise ValueError(f"piece {k + i} must be the single byte {i:#04x}")
+        if len(self.merges) != len(self.pieces) - k - 256:
+            raise ValueError("merge count must equal the number of learned pieces")
+        for rank, (left, right) in enumerate(self.merges):
+            piece_id = k + 256 + rank
+            if not (k <= left < piece_id and k <= right < piece_id):
+                raise ValueError(f"merge {rank} references undefined or special ids")
+            piece = self.pieces[piece_id]
+            if piece != self.pieces[left] + self.pieces[right]:
+                raise ValueError(f"piece {piece_id} does not equal its merge concatenation")
+            if piece.split() != [piece]:
+                raise ValueError(f"piece {piece_id} holds an ASCII whitespace byte")
+        for piece in self.pieces:
+            if not piece:
+                raise ValueError("pieces must be non-empty byte sequences")
+        if len(set(self.pieces)) != len(self.pieces):
+            raise ValueError("piece list contains duplicates")
 
     @property
     def byte_offset(self) -> int:
@@ -122,39 +157,6 @@ class TokenizerModel:
         table = np.full(256 * 256, len(self.merges), dtype=np.int64)
         table[byte_pairs[is_bytes, 0] * 256 + byte_pairs[is_bytes, 1]] = np.flatnonzero(is_bytes)
         return table, keys[order], order
-
-
-def validate_model(model: TokenizerModel) -> None:
-    """Check the structural invariants of a model; raise ValueError if broken."""
-    k = len(model.special_tokens)
-    if model.version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"model version must be {MODEL_FORMAT_VERSION}, got {model.version}")
-    missing = [name for name in REQUIRED_SPECIALS if name not in model.special_tokens]
-    if missing:
-        raise ValueError(f"special tokens {missing} are required")
-    if sorted(model.special_tokens.values()) != list(range(k)):
-        raise ValueError("special token ids must be exactly 0..len(specials)-1")
-    if len(model.pieces) < k + 256:
-        raise ValueError("model must contain the 256 single-byte base pieces")
-    for i in range(256):
-        if model.pieces[k + i] != bytes([i]):
-            raise ValueError(f"piece {k + i} must be the single byte {i:#04x}")
-    if len(model.merges) != len(model.pieces) - k - 256:
-        raise ValueError("merge count must equal the number of learned pieces")
-    for rank, (left, right) in enumerate(model.merges):
-        piece_id = k + 256 + rank
-        if not (k <= left < piece_id and k <= right < piece_id):
-            raise ValueError(f"merge {rank} references undefined or special ids")
-        piece = model.pieces[piece_id]
-        if piece != model.pieces[left] + model.pieces[right]:
-            raise ValueError(f"piece {piece_id} does not equal its merge concatenation")
-        if piece.split() != [piece]:
-            raise ValueError(f"piece {piece_id} holds an ASCII whitespace byte")
-    for piece in model.pieces:
-        if not piece:
-            raise ValueError("pieces must be non-empty byte sequences")
-    if len(set(model.pieces)) != len(model.pieces):
-        raise ValueError("piece list contains duplicates")
 
 
 def train_bpe(
@@ -189,13 +191,9 @@ def train_bpe(
     pieces = [f"<{name}>".encode("utf-8") for name in names]
     pieces.extend(bytes([i]) for i in range(256))
     merges = _learn_merges(word_counts, pieces, vocab_size, len(names))
-    model = TokenizerModel(
-        pieces=tuple(pieces),
-        merges=tuple(merges),
-        special_tokens={name: i for i, name in enumerate(names)},
+    return TokenizerModel(
+        pieces=pieces, merges=merges, special_tokens={name: i for i, name in enumerate(names)}
     )
-    validate_model(model)
-    return model
 
 
 def count_words(docs: Iterable[CorpusDocument]) -> dict[str, list]:
@@ -251,7 +249,6 @@ def _learn_merges(
     heap = [(-count, pair[0], pair[1]) for pair, count in pair_counts.items()]
     heapq.heapify(heap)
     existing = set(pieces)
-    banned: set[tuple[int, int]] = set()
     merges: list[tuple[int, int]] = []
 
     while len(pieces) < vocab_size and heap:
@@ -265,13 +262,11 @@ def _learn_merges(
             continue
         if count < _MIN_PAIR_FREQ:
             break
-        if pair in banned:
-            continue
         merged = pieces[left] + pieces[right]
         if merged in existing:
             # Minting the piece would duplicate an existing one (only special
-            # placeholders can collide); never select this pair again.
-            banned.add(pair)
+            # placeholders can collide). ``existing`` only grows, so the pair
+            # is skipped again whenever it comes back up.
             continue
         new_id = len(pieces)
         pieces.append(merged)
@@ -339,20 +334,7 @@ def _encode_words(
     Each batch comes as the token ids of its words back to back, and the
     number of ids of each word.
     """
-    return map(_encode_batch, repeat(model), _batches(words))
-
-
-def _batches(words: Iterable[bytes]) -> Iterator[list[bytes]]:
-    batch: list[bytes] = []
-    size = 0
-    for word in words:
-        if batch and size + len(word) > _ENCODE_BATCH_BYTES:
-            yield batch
-            batch, size = [], 0
-        batch.append(word)
-        size += len(word)
-    if batch:
-        yield batch
+    return map(_encode_batch, repeat(model), _batches(words, len, _ENCODE_BATCH_BYTES))
 
 
 def _encode_batch(model: TokenizerModel, words: list[bytes]) -> tuple[list[int], list[int]]:
@@ -534,7 +516,7 @@ def improvement_pct(value: float, baseline: float) -> float:
 def serialize_model(model: TokenizerModel) -> bytes:
     """Canonical UTF-8 serialization: pretty-printed JSON with LF endings."""
     payload = {
-        "version": model.version,
+        "version": MODEL_FORMAT_VERSION,
         "special_tokens": dict(model.special_tokens),
         "pieces": [base64.b64encode(p).decode("ascii") for p in model.pieces],
         "merges": [list(m) for m in model.merges],
@@ -548,7 +530,6 @@ def model_hash(model: TokenizerModel) -> str:
 
 
 def save_model(model: TokenizerModel, path) -> None:
-    validate_model(model)
     Path(path).write_bytes(serialize_model(model))
 
 
@@ -568,23 +549,19 @@ def load_model(path) -> TokenizerModel:
                 decoded.append(base64.b64decode(entry, validate=True))
             except ValueError as exc:
                 raise ValueError(f"pieces[{index}] is not valid base64: {exc}") from exc
-        pieces = tuple(decoded)
         merges = _typed(payload["merges"], "a list", "merges")
         for rank, merge in enumerate(merges):
             if len(_typed(merge, "a list of integers", "merge")) != 2:
                 raise ValueError(f"merge {rank} must be a pair of integers, got {merge!r}")
-        merges = tuple(map(tuple, merges))
         specials = _typed(payload["special_tokens"], "a JSON object", "special_tokens")
         for name, token_id in specials.items():
             _typed(token_id, "an integer", f"special_tokens[{name!r}]")
         version = _typed(payload["version"], "an integer", "version")
     except ValueError as exc:
         raise ValueError(f"{path}: malformed model file: {exc}") from exc
-    model = TokenizerModel(
-        pieces=pieces, merges=merges, special_tokens=specials, version=version
-    )
     try:
-        validate_model(model)
+        if version != MODEL_FORMAT_VERSION:
+            raise ValueError(f"model version must be {MODEL_FORMAT_VERSION}, got {version}")
+        return TokenizerModel(pieces=decoded, merges=merges, special_tokens=specials)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return model

@@ -1,10 +1,11 @@
 """Remap an embedding matrix onto a new subword vocabulary.
 
-Each new piece found verbatim in the old vocabulary copies its row exactly.
-Any other piece is re-encoded with the old tokenizer and initialized to the
-arithmetic mean of the resulting rows, accumulated in 64-bit in subtoken
-order and stored as 32-bit. Special tokens whose names the old model lacks
-fall back to the global mean row.
+Each new piece found verbatim among the old model's byte and learned pieces
+copies its row exactly; specials match by name only, as the old model never
+encodes text to one. Any other piece is re-encoded with the old tokenizer
+and initialized to the arithmetic mean of the resulting rows, accumulated in
+64-bit in subtoken order and stored as 32-bit. Special tokens whose names
+the old model lacks fall back to the global mean row.
 
 The old matrix is held once, as the float32 array read from its file;
 float64 appears only in the accumulator of one averaged row and of the
@@ -21,7 +22,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .tokenizer import TokenizerModel, encode_bytes, model_hash, validate_model
+from .tokenizer import TokenizerModel, encode_bytes, model_hash
 
 __all__ = [
     "AdaptationReport",
@@ -199,11 +200,9 @@ def adapt_embeddings(
             f"({old_tok.piece_count})"
         )
     old_emb.validate()
-    validate_model(old_tok)
-    validate_model(new_tok)
 
     old32 = old_emb.data
-    old_index = {piece: i for i, piece in enumerate(old_tok.pieces)}
+    old_index = {piece: i for i, piece in enumerate(old_tok.pieces) if i >= old_tok.byte_offset}
     new_special_names = {i: name for name, i in new_tok.special_tokens.items()}
     missing = {
         new_id: piece

@@ -124,6 +124,24 @@ class TestTokenizerTrain:
         )
 
 
+    @pytest.mark.parametrize(
+        "top, entry, message",
+        [
+            ({"language": "ind"}, {"format": "csv"},
+             "unknown corpus format 'csv'; expected one of ('plain_lines', 'json_lines')"),
+            ({"language": "IND"}, {},
+             "language must be a lowercase 3-letter code, got 'IND'"),
+        ],
+        ids=["format", "language"],
+    )
+    def test_bad_corpus_value_names_config(self, tmp_path, toy_corpus, capsys, top, entry, message):
+        entry = {"path": str(toy_corpus), **entry}
+        config = write_config(
+            tmp_path / "train.json", {"corpus": [entry], "vocab_size": 300, **top}
+        )
+        assert run("tokenizer-train", "--config", config, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {config}: corpus entry {entry!r}: {message}\n"
+
     def test_deeply_nested_json_line_names_file_and_line(self, tmp_path, capsys):
         corpus_path = tmp_path / "train.jsonl"
         nested = "[" * 5000 + "]" * 5000

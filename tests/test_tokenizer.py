@@ -1,4 +1,6 @@
+import base64
 import itertools
+import json
 import operator
 import random
 import tracemalloc
@@ -290,18 +292,31 @@ class TestSerialization:
     @pytest.mark.parametrize("ws", list(ASCII_WS))
     def test_load_rejects_piece_holding_whitespace(self, tmp_path, ws):
         # Encoding splits text at whitespace before it merges, so a learned
-        # piece holding a whitespace byte could never be produced.
-        specials = {"pad": 0, "eos": 1, "unk": 2}
-        base = [b"<pad>", b"<eos>", b"<unk>"] + [bytes([i]) for i in range(256)]
-        model = tokenizer.TokenizerModel(
-            pieces=tuple(base + [b"a" + bytes([ws])]),
-            merges=((3 + ord("a"), 3 + ws),),
-            special_tokens=specials,
-        )
+        # piece holding a whitespace byte could never be produced. No model
+        # with one can be built, so the file is written by hand.
+        pieces = [b"<pad>", b"<eos>", b"<unk>"] + [bytes([i]) for i in range(256)]
+        payload = {
+            "version": 1,
+            "special_tokens": {"pad": 0, "eos": 1, "unk": 2},
+            "pieces": [base64.b64encode(p).decode("ascii") for p in pieces + [b"a" + bytes([ws])]],
+            "merges": [[3 + ord("a"), 3 + ws]],
+        }
         path = tmp_path / "spaced.json"
-        path.write_bytes(tokenizer.serialize_model(model))
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match="spaced.json: piece 259 holds an ASCII whitespace byte"):
             tokenizer.load_model(path)
+
+    def test_fields_are_read_only(self):
+        specials = {"pad": 0, "eos": 1, "unk": 2}
+        pieces = [b"<pad>", b"<eos>", b"<unk>"] + [bytes([i]) for i in range(256)]
+        model = tokenizer.TokenizerModel(pieces=pieces, merges=[], special_tokens=specials)
+        with pytest.raises(TypeError):
+            model.special_tokens["x"] = 9
+        # The model holds copies of what it was given.
+        specials["x"] = 9
+        pieces.append(b"a b")
+        assert dict(model.special_tokens) == {"pad": 0, "eos": 1, "unk": 2}
+        assert model.piece_count == 259 and model.merges == ()
 
     def test_load_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"
