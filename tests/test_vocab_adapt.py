@@ -304,17 +304,28 @@ class TestAdaptEmbeddings:
         assert report.averaged > 1
         assert encode_bytes.call_count == 1
 
-    def test_no_model_holds_a_piece_with_whitespace(self):
+    @pytest.mark.parametrize("role", ["old", "new"])
+    def test_rejects_piece_holding_whitespace(self, old_model, role):
         # Adaptation joins the missing pieces with spaces and splits their ids
-        # back at the space id, so neither model may hold a piece with one;
-        # such a model cannot be built to be passed in.
+        # back at the space id, so neither model may hold a piece with one.
+        # Such a model cannot be built, so it never reaches adapt_embeddings
+        # in either role.
         base = [b"<pad>", b"<eos>", b"<unk>"] + [bytes([i]) for i in range(256)]
-        with pytest.raises(ValueError, match="piece 259 holds an ASCII whitespace byte"):
-            TokenizerModel(
+
+        def spaced():
+            return TokenizerModel(
                 pieces=tuple(base + [b"a ", b"a b"]),
                 merges=((3 + ord("a"), 3 + ord(" ")), (259, 3 + ord("b"))),
                 special_tokens={"pad": 0, "eos": 1, "unk": 2},
             )
+
+        with mock.patch.object(vocab_adapt, "encode_bytes") as encode_bytes:
+            with pytest.raises(ValueError, match="piece 259 holds an ASCII whitespace byte"):
+                if role == "old":
+                    adapt_embeddings(spaced(), matrix_for(old_model), old_model)
+                else:
+                    adapt_embeddings(old_model, matrix_for(old_model), spaced())
+        assert encode_bytes.call_count == 0
 
     def test_permutation_equivariance_over_independent_merges(self):
         # Two hand-built models containing the same pieces, with the order of
