@@ -180,6 +180,10 @@ def _publish(stage: Path, outdir: Path, manifest: dict) -> None:
 def _cmd_tokenizer_train(config: dict, out: Path) -> list:
     vocab_size = _require(config, "vocab_size")
     specials = config.get("special_tokens", list(tokenizer.REQUIRED_SPECIALS))
+    try:  # before ingesting, so only corpus errors come from train_bpe
+        tokenizer._check_train_args(vocab_size, specials)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     files = _input_files(config, "corpus")
     model = tokenizer.train_bpe(_ingest_all(files), vocab_size, specials)
     tokenizer.save_model(model, out / "tokenizer.json")

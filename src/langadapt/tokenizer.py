@@ -7,11 +7,16 @@ deterministic on any platform and independent of thread count. Merges never
 cross an ASCII whitespace byte, which keeps learned pieces word-internal and
 stabilizes fertility numbers.
 
-Training counts each distinct word once and keeps exact pair counts up to
-date incrementally (Sennrich et al., 2016): a merge rewrites only the words
-that contain its pair, and at each merge site adjusts only the two
-neighbouring pairs. A lazy max-heap of pair counts picks the next merge. The
-merges equal those of a full recount after every step.
+Training counts each distinct word once and learns merges in two phases.
+The first ``_ARRAY_MERGES`` merges, each of which rewrites many words, run in
+array rounds over all the words at once: a dense table of exact pair counts
+gives the next pair by one argmax, and a merge rewrites all its sites and
+adds the count changes of the pairs beside them in one scatter. Then the
+incremental loop of Sennrich et al. (2016) learns the long tail: a merge
+rewrites only the words that contain its pair and adjusts only the two
+neighbouring pairs of each site, and a lazy max-heap of pair counts picks the
+next merge. Both phases keep exact counts and break ties alike, so the merges
+equal those of a full recount after every step.
 
 Encoding applies merges in learned order to each whitespace-free word and
 keeps nothing per word, only the merge rank lookups per model. All of it goes
@@ -170,17 +175,7 @@ def train_bpe(
     is fully determined by the corpus and parameters.
     """
     names = list(special_names)
-    if len(set(names)) != len(names):
-        raise ValueError("special token names must be unique")
-    for required in REQUIRED_SPECIALS:
-        if required not in names:
-            raise ValueError(f"special token {required!r} is required")
-    min_size = 256 + len(names)
-    if vocab_size < min_size:
-        raise ValueError(
-            f"vocab_size must be at least {min_size} "
-            f"(256 bytes + {len(names)} specials), got {vocab_size}"
-        )
+    _check_train_args(vocab_size, names)
     # Summed into the first language's counter in place; a copy doubles memory.
     counters = (counts for _, _, counts in count_words(docs).values())
     word_counts = next(counters, Counter())
@@ -194,6 +189,21 @@ def train_bpe(
     return TokenizerModel(
         pieces=pieces, merges=merges, special_tokens={name: i for i, name in enumerate(names)}
     )
+
+
+def _check_train_args(vocab_size: int, names: list[str]) -> None:
+    """Raise ValueError unless :func:`train_bpe` takes these arguments."""
+    if len(set(names)) != len(names):
+        raise ValueError("special token names must be unique")
+    for required in REQUIRED_SPECIALS:
+        if required not in names:
+            raise ValueError(f"special token {required!r} is required")
+    min_size = 256 + len(names)
+    if vocab_size < min_size:
+        raise ValueError(
+            f"vocab_size must be at least {min_size} "
+            f"(256 bytes + {len(names)} specials), got {vocab_size}"
+        )
 
 
 def count_words(docs: Iterable[CorpusDocument]) -> dict[str, list]:
@@ -215,6 +225,7 @@ def _learn_merges(
     vocab_size: int,
     byte_offset: int,
 ) -> list[tuple[int, int]]:
+    # The first merges come from array rounds; the loop below learns the rest.
     # Incremental pair bookkeeping: exact pair counts, the words each pair
     # may occur in, and a lazy max-heap of (-count, left, right) entries.
     # Every live pair keeps at least one entry whose key is >= its count:
@@ -224,32 +235,14 @@ def _learn_merges(
     # re-queued at the count; one below it is dropped, because a newer entry
     # holds the larger count. So the first popped entry equal to its count is
     # the true maximum under the (count, lowest left, lowest right) order.
-    words: list[list[int]] = []
-    freqs: list[int] = []
-    pair_counts: dict[tuple[int, int], int] = {}
-    pair_words: dict[tuple[int, int], set[int]] = {}
-    for word, freq in word_counts.items():
-        if len(word) < 2:
-            continue
-        ids = [byte_offset + b for b in word]
-        index = len(words)
-        words.append(ids)
-        freqs.append(freq)
-        prev = ids[0]
-        for cur in ids[1:]:
-            pair = (prev, cur)
-            pair_counts[pair] = pair_counts.get(pair, 0) + freq
-            members = pair_words.get(pair)
-            if members is None:
-                pair_words[pair] = {index}
-            else:
-                members.add(index)
-            prev = cur
-
-    heap = [(-count, pair[0], pair[1]) for pair, count in pair_counts.items()]
-    heapq.heapify(heap)
     existing = set(pieces)
     merges: list[tuple[int, int]] = []
+    stop = min(vocab_size, len(pieces) + _ARRAY_MERGES)
+    words, freqs, pair_counts, pair_words = _array_merges(
+        word_counts, pieces, existing, merges, stop, byte_offset
+    )
+    heap = [(-count, pair[0], pair[1]) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
 
     while len(pieces) < vocab_size and heap:
         neg_count, left, right = heapq.heappop(heap)
@@ -321,6 +314,126 @@ def _learn_merges(
     return merges
 
 
+# How many merges ``_array_merges`` learns before the loop takes over. Each
+# array merge scans every position of every word, so it pays only while a
+# merge rewrites many words; past a few hundred merges the loop is faster.
+_ARRAY_MERGES = 128
+
+
+def _array_merges(
+    word_counts: Counter[bytes],
+    pieces: list[bytes],
+    existing: set[bytes],
+    merges: list[tuple[int, int]],
+    stop: int,
+    byte_offset: int,
+) -> tuple[list[list[int]], list[int], dict, dict]:
+    """Learn merges in array rounds until ``len(pieces) == stop`` or no pair
+    occurs twice, extending ``pieces``, ``existing`` and ``merges`` as the
+    loop does. Return the loop's state: the words of two bytes or more as
+    rewritten id lists, their frequencies, and each pair's exact count and
+    the words that hold it.
+
+    The words lie back to back in ``ids``, with the word of each position in
+    ``word``; ids count from byte 0, so that no special token takes a row.
+    A merge writes the new id over each site's left id and -1 over its right
+    one, and links around the right one: ``nxt`` and ``prv`` give a live
+    position's neighbours, or position ``n`` (id -1) past either end of its
+    word. The exact pair counts are a dense table, a row and a column per id
+    below ``stop``, so a row-major argmax picks the highest count, then the
+    lowest left id, then the lowest right id. A merge rewrites all its sites at once and adds the
+    count changes of their neighbour pairs, weighted by word frequency, in
+    one scatter.
+    """
+    import numpy as np  # not at the top: see collection.subsample_to_target
+
+    distinct = [word for word in word_counts if len(word) > 1]
+    lengths = np.fromiter(map(len, distinct), np.int64, len(distinct))
+    freq = np.fromiter(map(word_counts.__getitem__, distinct), np.int64, len(distinct))
+    data = np.frombuffer(b"".join(distinct), np.uint8)
+    n, size = len(data), stop - byte_offset
+    ids = np.append(data.astype(np.int64), -1)
+    word = np.repeat(np.arange(len(distinct)), lengths)
+    ends = np.cumsum(lengths)
+    nxt = np.arange(1, n + 2)
+    nxt[ends - 1] = n
+    prv = np.arange(-1, n)
+    prv[ends - lengths] = n
+    pos = np.flatnonzero(nxt[:n] < n)
+    counts = np.zeros(size * size, np.int64)
+    np.add.at(counts, ids[pos] * size + ids[pos + 1], freq[word[pos]])
+    while len(pieces) < stop:
+        best = int(np.argmax(counts))
+        if counts[best] < _MIN_PAIR_FREQ:
+            break
+        left, right = divmod(best, size)
+        merged = pieces[byte_offset + left] + pieces[byte_offset + right]
+        if merged in existing:
+            # Only pairs holding a new id ever rise, so a banned pair never
+            # comes back up; the handover recounts it.
+            counts[best] = 0
+            continue
+        new_id = len(pieces) - byte_offset
+        pieces.append(merged)
+        existing.add(merged)
+        merges.append((byte_offset + left, byte_offset + right))
+        sites = np.flatnonzero(ids == left)
+        sites = sites[ids[nxt[sites]] == right]
+        sites = _leftmost_sites(sites, sites[1:] == nxt[sites[:-1]])
+        gone = nxt[sites]
+        # The loop's p and q: a left neighbour that the previous site just
+        # merged is the new id, as ``out[-1]`` is; a right one is unmerged.
+        p = np.where(np.r_[False, gone[:-1] == prv[sites[1:]]], new_id, ids[prv[sites]])
+        q = ids[nxt[gone]]
+        w = freq[word[sites]]
+        has_p, has_q = p >= 0, q >= 0
+        p, wp, q, wq = p[has_p], w[has_p], q[has_q], w[has_q]
+        changed = (p * size + left, p * size + new_id, right * size + q, new_id * size + q)
+        np.add.at(counts, np.concatenate(changed), np.concatenate((-wp, wp, -wq, wq)))
+        counts[best] = 0
+        ids[sites] = new_id
+        ids[gone] = -1
+        nxt[sites] = nxt[gone]
+        prv[nxt[sites]] = sites
+    # Handover: the words as id lists, then each pair's exact count and the
+    # words that hold it, from the pair occurrences sorted by pair.
+    # Each id and word index is one shared int object, as in the loop's
+    # lists, not one object per position.
+    id_ints = np.arange(byte_offset, stop).astype(object)
+    live = ids[:n] >= 0
+    ids, word = ids[:n][live], word[live]
+    bounds = np.cumsum(np.bincount(word, minlength=len(distinct))).tolist()
+    flat = id_ints[ids].tolist()
+    words = [flat[a:b] for a, b in pairwise(chain((0,), bounds))]
+    pos = np.flatnonzero(word[:-1] == word[1:])
+    key = ids[pos] * size + ids[pos + 1]
+    order = np.argsort(key)
+    key, member = key[order], word[pos][order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    totals = np.add.reduceat(freq[member], starts).tolist()
+    members = np.arange(len(distinct)).astype(object)[member].tolist()
+    spans = pairwise(chain(starts.tolist(), (len(members),)))
+    pairs = list(zip(*(id_ints[half].tolist() for half in np.divmod(key[starts], size))))
+    pair_words = {pair: set(members[a:b]) for pair, (a, b) in zip(pairs, spans)}
+    return words, freq.tolist(), dict(zip(pairs, totals)), pair_words
+
+
+def _leftmost_sites(sites, touching):
+    """Thin sorted merge sites to the leftmost non-overlapping ones;
+    ``touching[i]`` says whether site ``i + 1`` starts at site ``i``'s right id.
+
+    Sites touch only in a run of one id under an ``(a, a)`` merge; every other
+    one from the run's start merges, as left-to-right replacement does.
+    """
+    import numpy as np  # not at the top: see collection.subsample_to_target
+
+    if not touching.any():
+        return sites
+    k = np.arange(len(sites))
+    run_start = np.maximum.accumulate(np.where(np.r_[False, touching], 0, k))
+    return sites[(k - run_start) % 2 == 0]
+
+
 # The array rounds take words in consecutive batches of at most this many
 # bytes, so their memory follows one batch; a longer word is a batch alone.
 _ENCODE_BATCH_BYTES = 65536
@@ -373,13 +486,7 @@ def _encode_batch(model: TokenizerModel, words: list[bytes]) -> tuple[list[int],
             ids, ranks = ids[kept], ranks[kept]
             starts = np.cumsum(lengths) - lengths
         sites = np.flatnonzero(ranks == np.repeat(low, lengths))
-        # Sites touch only in a run of one id under an (a, a) merge; every
-        # other one from the run's start merges, leftmost and non-overlapping.
-        touching = sites[1:] == sites[:-1] + 1
-        if touching.any():
-            k = np.arange(len(sites))
-            run_start = np.maximum.accumulate(np.where(np.r_[False, touching], 0, k))
-            sites = sites[(k - run_start) % 2 == 0]
+        sites = _leftmost_sites(sites, sites[1:] == sites[:-1] + 1)
         ids[sites] = model.byte_offset + 256 + ranks[sites]
         ranks[sites] = ranks[sites + 1]  # ``end`` if the right token ended the word
         kept = np.ones(len(ids), dtype=bool)

@@ -85,6 +85,23 @@ class TestTokenizerTrain:
         assert not (out / "tokenizer.json").exists()
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"vocab_size": 100},
+             "vocab_size must be at least 259 (256 bytes + 3 specials), got 100"),
+            ({"vocab_size": 300, "special_tokens": ["pad"]},
+             "special token 'eos' is required"),
+        ],
+        ids=["vocab_size", "special_tokens"],
+    )
+    def test_rejected_training_value_names_config(self, tmp_path, toy_corpus, capsys, values, message):
+        config = write_config(
+            tmp_path / "train.json", {"corpus": str(toy_corpus), "language": "ind", **values}
+        )
+        assert run("tokenizer-train", "--config", config, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+
     def test_manifest_contents(self, tmp_path, toy_corpus):
         config = write_config(
             tmp_path / "train.json",

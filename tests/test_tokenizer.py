@@ -54,6 +54,24 @@ def assert_encodes_like_naive(model, data):
             assert tokenizer.encode_bytes(model, data) == expected, path
 
 
+# _ARRAY_MERGES: the loop alone, a switch that toy corpora cross after two
+# array merges, and array rounds only.
+TRAIN_PATHS = {"loop": 0, "switch-2": 2, "arrays": 10**9}
+
+
+def train_path(name):
+    return mock.patch.object(tokenizer, "_ARRAY_MERGES", TRAIN_PATHS[name])
+
+
+def assert_trains_like_naive(docs, vocab_size):
+    expected = naive_train_bpe([doc.text for doc in docs], vocab_size)
+    for path in TRAIN_PATHS:
+        with train_path(path):
+            model = tokenizer.train_bpe(docs, vocab_size)
+        assert (list(model.pieces), list(model.merges)) == expected, path
+    return model
+
+
 @st.composite
 def tiny_alphabet_corpora(draw):
     """A few documents of long single-character runs over a 2-3 symbol alphabet,
@@ -104,12 +122,8 @@ class TestTrainBpe:
 
     def test_matches_naive_oracle_on_toy_corpus(self):
         rng = random.Random(42)
-        texts = [" ".join(random_words(rng))]
-        vocab_size = 300
-        expected_pieces, expected_merges = naive_train_bpe(texts, vocab_size)
-        model = tokenizer.train_bpe(docs_from(texts), vocab_size)
-        assert list(model.pieces) == expected_pieces
-        assert list(model.merges) == expected_merges
+        model = assert_trains_like_naive(docs_from([" ".join(random_words(rng))]), 300)
+        assert len(model.merges) > TRAIN_PATHS["switch-2"]
 
     @settings(max_examples=300, deadline=None)
     @given(docs=tiny_alphabet_corpora(), vocab_size=st.integers(260, 300))
@@ -117,20 +131,27 @@ class TestTrainBpe:
         # Long runs of one symbol put merge sites next to each other, where
         # the neighbour-pair updates of one site depend on the previous one.
         # Mixed languages make training sum several per-language counters.
-        texts = [doc.text for doc in docs]
-        assume(any(text.split() for text in texts))
-        expected_pieces, expected_merges = naive_train_bpe(texts, vocab_size)
-        model = tokenizer.train_bpe(docs, vocab_size)
-        assert list(model.pieces) == expected_pieces
-        assert list(model.merges) == expected_merges
+        assume(any(doc.text.split() for doc in docs))
+        assert_trains_like_naive(docs, vocab_size)
 
     def test_adjacent_merge_sites_match_naive_oracle(self):
-        texts = ["aaaaaaa aaaa aaa"]
-        expected_pieces, expected_merges = naive_train_bpe(texts, 280)
-        model = tokenizer.train_bpe(docs_from(texts), 280)
-        assert list(model.pieces) == expected_pieces
-        assert list(model.merges) == expected_merges
+        model = assert_trains_like_naive(docs_from(["aaaaaaa aaaa aaa"]), 280)
         assert model.pieces[model.byte_offset + 256 :] == (b"aa", b"aaaa", b"aaa")
+
+    def test_piece_equal_to_a_special_is_never_minted(self):
+        # (<pad, >) would mint b"<pad>", the pad placeholder, so it is skipped
+        # for good: in array rounds on the "arrays" path, in the loop on the
+        # others. (a, b) comes next.
+        model = assert_trains_like_naive(docs_from(["<pad> <pad> <pad> ab ab"]), 300)
+        assert model.pieces.count(b"<pad>") == 1
+        assert model.pieces[model.byte_offset + 256 :] == (b"<p", b"ad", b"<pad", b"ab")
+
+    def test_stops_when_no_pair_occurs_twice(self):
+        # After (a, b) no pair occurs twice, so training stops one merge in:
+        # inside the array rounds on every path but "loop".
+        model = assert_trains_like_naive(docs_from(["ab ab cd xyz"]), 300)
+        assert model.merges == ((byte_id(model, "a"), byte_id(model, "b")),)
+        assert len(model.pieces) < 300
 
     def test_merges_never_cross_whitespace(self):
         model = tokenizer.train_bpe(docs_from(["ab ab ab ab"]), 256 + 3 + 6)
