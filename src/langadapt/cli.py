@@ -87,6 +87,17 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return config
 
 
+def _combine(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, which combines inputs the config names; a
+    ValueError naming no file is raised again as a ConfigError, naming the config."""
+    try:
+        return call(*args, **kwargs)
+    except (ConfigError, corpus.IngestError):  # these name their files
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _require(config: dict, key: str):
     if key not in config:
         raise ConfigError(f"missing required config key {key!r}")
@@ -180,12 +191,8 @@ def _publish(stage: Path, outdir: Path, manifest: dict) -> None:
 def _cmd_tokenizer_train(config: dict, out: Path) -> list:
     vocab_size = _require(config, "vocab_size")
     specials = config.get("special_tokens", list(tokenizer.REQUIRED_SPECIALS))
-    try:  # before ingesting, so only corpus errors come from train_bpe
-        tokenizer._check_train_args(vocab_size, specials)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     files = _input_files(config, "corpus")
-    model = tokenizer.train_bpe(_ingest_all(files), vocab_size, specials)
+    model = _combine(tokenizer.train_bpe, _ingest_all(files), vocab_size, specials)
     tokenizer.save_model(model, out / "tokenizer.json")
     return [entry["path"] for entry in files]
 
@@ -197,8 +204,8 @@ def _cmd_fertility(config: dict, out: Path) -> list:
     model_b = tokenizer.load_model(path_b)
     files = _input_files(config, "corpus")
     words = tokenizer.count_words(_ingest_all(files))
-    reports_a = {r.language: r for r in tokenizer.fertility(model_a, words)}
-    reports_b = {r.language: r for r in tokenizer.fertility(model_b, words)}
+    reports_a = {r.language: r for r in _combine(tokenizer.fertility, model_a, words)}
+    reports_b = {r.language: r for r in _combine(tokenizer.fertility, model_b, words)}
     comparison = {}
     for language in sorted(reports_a):
         a, b = reports_a[language], reports_b[language]
@@ -226,7 +233,7 @@ def _cmd_adapt(config: dict, out: Path) -> list:
     old_tok = tokenizer.load_model(old_model_path)
     new_tok = tokenizer.load_model(new_model_path)
     old_emb = vocab_adapt.load_embeddings(old_emb_path)
-    new_emb, report = vocab_adapt.adapt_embeddings(old_tok, old_emb, new_tok)
+    new_emb, report = _combine(vocab_adapt.adapt_embeddings, old_tok, old_emb, new_tok)
     vocab_adapt.save_embeddings(new_emb, out / "embeddings.bin")
     _write_json(out / "adaptation.json", report.to_json_dict())
     return [old_model_path, new_model_path, old_emb_path]
@@ -245,7 +252,7 @@ def _cmd_build_collection(config: dict, out: Path) -> list:
         )
 
     records = list(_read_all(record_files, read, "record", check_all=True))
-    instances, per_source = collection.build_collection(registry, records, plan)
+    instances, per_source = _combine(collection.build_collection, registry, records, plan)
     targets = plan.target_totals or {}
     written = {}
     for phase, selected in zip(("phase1", "phase2"), collection.split_phases(instances)):
@@ -274,7 +281,7 @@ def _cmd_score(config: dict, out: Path) -> list:
         raise ConfigError(f"metric {metric} does not take options {sorted(rejected)}")
     options = {key: config[key] for key in option_kinds if key in config}
     examples = getattr(metrics, reader)(predictions)
-    report = getattr(metrics, metric)(examples, **options)
+    report = _combine(getattr(metrics, metric), examples, **options)
     _write_json(out / "report.json", report.to_json_dict())
     return [predictions]
 

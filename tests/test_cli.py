@@ -102,6 +102,16 @@ class TestTokenizerTrain:
         assert run("tokenizer-train", "--config", config, "--out", tmp_path / "o") == 1
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
+    def test_empty_corpus_names_config(self, tmp_path, capsys):
+        corpus_path = tmp_path / "empty.txt"
+        corpus_path.write_text("\n  \n", encoding="utf-8")
+        config = write_config(
+            tmp_path / "train.json",
+            {"corpus": str(corpus_path), "language": "ind", "vocab_size": 300},
+        )
+        assert run("tokenizer-train", "--config", config, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {config}: training corpus is empty\n"
+
     def test_manifest_contents(self, tmp_path, toy_corpus):
         config = write_config(
             tmp_path / "train.json",
@@ -210,6 +220,22 @@ class TestFertility:
         assert entry["improvement_tokens_per_word_pct"] == 0.0
         assert entry["a"]["tokens_per_doc"] == entry["b"]["tokens_per_doc"]
 
+    def test_empty_corpus_names_config(self, tmp_path, toy_corpus, capsys):
+        model = tokenizer.train_bpe(corpus.ingest(toy_corpus, language="ind", source="toy"), 260)
+        model_path = tmp_path / "tok.json"
+        tokenizer.save_model(model, model_path)
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path / "fert.json",
+            {"model_a": str(model_path), "model_b": str(model_path), "corpus": str(empty),
+             "language": "ind"},
+        )
+        assert run("fertility", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: fertility requires a non-empty document stream\n"
+        )
+
     def test_adapted_vs_baseline_positive_improvement(self, tmp_path, toy_corpus):
         # model A learned merges on the eval corpus itself; model B is the
         # bare byte alphabet, so A must segment the corpus into fewer tokens.
@@ -306,6 +332,25 @@ class TestAdapt:
         emb_path = tmp_path / "emb.bin"
         vocab_adapt.save_embeddings(matrix, emb_path)
         return model_path, emb_path
+
+    def test_unbound_embeddings_name_config(self, tmp_path, capsys):
+        model_path, emb_path = self.prepare(tmp_path)
+        other = tokenizer.train_bpe(
+            [CorpusDocument(id="0", text="kopi susu kopi", language="ind", source="x")], 262
+        )
+        other_path = tmp_path / "other.json"
+        tokenizer.save_model(other, other_path)
+        cfg = write_config(
+            tmp_path / "adapt.json",
+            {"old_model": str(other_path), "new_model": str(model_path),
+             "old_embeddings": str(emb_path)},
+        )
+        assert run("adapt", "--config", cfg, "--out", tmp_path / "o") == 1
+        bound = vocab_adapt.load_embeddings(emb_path).vocab_hash
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: embedding matrix is not bound to the given old tokenizer "
+            f"(vocab_hash {bound} != {tokenizer.model_hash(other)})\n"
+        )
 
     def test_identity_adaptation_byte_identical(self, tmp_path):
         model_path, emb_path = self.prepare(tmp_path)
@@ -510,6 +555,26 @@ class TestBuildCollection:
         cfg.write_text(json.dumps(payload), encoding="utf-8")
         assert run("build-collection", "--config", cfg, "--out", tmp_path / "o") == 1
         assert "unplanned" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"source": "r"}, "source 'r' is not in the sampling plan"),
+            (
+                {"fields": {"text": "x"}, "label": "pos", "task_type": "classification"},
+                "no templates registered for task type 'classification'",
+            ),
+        ],
+        ids=["source", "task-type"],
+    )
+    def test_record_the_plan_cannot_place_names_config(self, tmp_path, capsys, change, message):
+        cfg = collection_fixture(tmp_path, n_records=2, factor=1)
+        records = json.loads(cfg.read_text(encoding="utf-8"))["records"][0]["path"]
+        record = {"id": "x", "fields": {"prompt": "p", "answer": "a"}, "task_type": "generation"}
+        with open(records, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({**record, **change}) + "\n")
+        assert run("build-collection", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
     @pytest.mark.parametrize("named_by", ["entry", "line"])
     def test_duplicate_id_across_files_names_both(self, tmp_path, capsys, named_by):
@@ -761,6 +826,56 @@ class TestScore:
         cfg = write_config(tmp_path / "cfg.json", {"metric": "chrf_pp"})
         assert run("score", "--config", cfg, "--out", tmp_path / "o") == 1
         assert capsys.readouterr().err == f"error: {cfg}: missing required config key 'predictions'\n"
+
+    def test_empty_predictions_names_config(self, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", {"metric": "chrf_pp", "predictions": str(preds)})
+        assert run("score", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {cfg}: chrf_pp requires at least one example\n"
+
+    def test_nan_in_config_is_invalid_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"metric": "chrf_pp", "predictions": "g.jsonl", "beta": NaN}', encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        assert run("score", "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: invalid JSON: NaN is not a JSON number\n"
+        assert not (out / "report.json").exists()
+
+    def test_infinity_in_predictions_names_line(self, tmp_path, capsys):
+        preds = tmp_path / "mc1.jsonl"
+        preds.write_text(
+            '{"id": "1", "option_scores": [0.5, 0.1], "gold_index": 0}\n'
+            '{"id": "2", "option_scores": [Infinity, 0.1], "gold_index": 0}\n',
+            encoding="utf-8",
+        )
+        cfg = write_config(
+            tmp_path / "cfg.json", {"metric": "mc1_accuracy", "predictions": str(preds)}
+        )
+        assert run("score", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: {preds}: line 2: invalid JSON: Infinity is not a JSON number\n"
+        )
+
+    @pytest.mark.parametrize("metric", ["chrf_pp", "rouge_l"])
+    def test_beta_whose_square_overflows_rejected(self, tmp_path, capsys, metric):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            json.dumps({"id": "1", "hypothesis": "a b", "references": ["a c"]}) + "\n",
+            encoding="utf-8",
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            f'{{"metric": "{metric}", "predictions": "{preds}", "beta": 1e200}}', encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        assert run("score", "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: beta must be a number whose square is finite, got 1e+200\n"
+        )
+        assert not (out / "report.json").exists()
 
     def test_integer_too_large_for_a_float_scores(self, tmp_path):
         preds = tmp_path / "likelihood.jsonl"

@@ -104,6 +104,14 @@ class TestIngestJsonLines:
         assert doc.language == "ind"
         assert doc.id == "0"
 
+    def test_trims_and_skips_empty(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_lines(path, [json.dumps({"text": " halo "}), "", json.dumps({"text": "  "})])
+        stats = IngestStats()
+        docs = list(corpus.ingest(path, "json_lines", language="ind", source="demo", stats=stats))
+        assert [(d.id, d.text) for d in docs] == [("0", "halo")]
+        assert stats == IngestStats(lines_read=3, documents=1, skipped_empty=2)
+
     def test_explicit_id(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_lines(path, [json.dumps({"text": "abc", "id": "doc-9"})])
@@ -228,3 +236,34 @@ def test_record_ids_as_strings_and_duplicates_name_line(tmp_path, reader):
     write_lines(path, [json.dumps(dict(record, id=7)), json.dumps(dict(record, id="7"))])
     with pytest.raises(IngestError, match=r"records\.jsonl: line 2: duplicate"):
         read(path)
+
+
+@pytest.mark.parametrize("reader", sorted(ID_READERS))
+def test_blank_lines_skipped(tmp_path, reader):
+    read, record = ID_READERS[reader]
+    path = tmp_path / "records.jsonl"
+    write_lines(path, [json.dumps(dict(record, id="a")), "", " \t", json.dumps(dict(record, id=3))])
+    assert [item.id for item in read(path)] == ["a", "3"]
+
+
+@pytest.mark.parametrize("reader", sorted(ID_READERS))
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("{not json", "invalid JSON: Expecting property name enclosed in double quotes"),
+        ("[1, 2]", "record must be an object"),
+        ('"text"', "record must be an object"),
+        ("[" * 5000 + "]" * 5000, "invalid JSON: nested too deeply"),
+        ('{"id": "b", "x": NaN}', "invalid JSON: NaN is not a JSON number"),
+        ('{"id": "b", "x": [Infinity]}', "invalid JSON: Infinity is not a JSON number"),
+        ('{"id": "b", "x": -Infinity}', "invalid JSON: -Infinity is not a JSON number"),
+    ],
+    ids=["invalid", "list", "string", "nested", "nan", "infinity", "minus-infinity"],
+)
+def test_malformed_line_fails_alike_in_every_reader(tmp_path, reader, line, message):
+    read, record = ID_READERS[reader]
+    path = tmp_path / "records.jsonl"
+    write_lines(path, [json.dumps(dict(record, id="a")), "", "  ", line])
+    with pytest.raises(IngestError) as caught:
+        read(path)
+    assert str(caught.value) == f"{path}: line 4: {message}"

@@ -317,6 +317,16 @@ class TestRougeL:
         assert multi == max(single, naive_rouge_l(hyp, other))
 
 
+@pytest.mark.parametrize("score", [chrf_pp, rouge_l])
+@pytest.mark.parametrize(
+    "beta", [math.nan, math.inf, 1e200, 10**200], ids=["nan", "inf", "float", "int"]
+)
+def test_beta_whose_square_is_not_finite_rejected(score, beta):
+    with pytest.raises(ValueError) as caught:
+        score([prediction("1", "a b", "a c")], beta=beta)
+    assert str(caught.value) == f"beta must be a number whose square is finite, got {beta!r}"
+
+
 class TestMc1Accuracy:
     def test_gold_highest(self):
         items = [MC1Item("1", (0.1, 0.9, 0.2), 1)]
