@@ -9,7 +9,9 @@ failed run leaves the output directory as it was, or without a manifest if
 renaming failed; a killed run may leave a stage directory, never a truncated
 artifact under its real name. Manifests embed the resolved config, input
 checksums, the seed, and the toolkit version, so identical configs and
-inputs produce identical output checksums.
+inputs produce identical output checksums. Input checksums are taken on one
+background thread while the command runs; each command names its inputs
+before it reads them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import os
 import shutil
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 from . import __version__, collection, corpus, metrics, tokenizer, vocab_adapt
@@ -55,11 +58,43 @@ class ConfigError(ValueError):
 
 
 def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    with open(path, "rb") as handle:  # read into one reused 256 KB buffer
+        return hashlib.file_digest(handle, "sha256").hexdigest()
+
+
+class _InputChecksums:
+    """The SHA-256 of each of a command's input files, taken on one background
+    thread while the command reads them.
+
+    The handler passes its input paths to ``start`` before reading them.
+    ``main`` always calls ``join``, and ``digests`` raises the thread's error
+    only when the handler succeeded, so a handler's own error wins.
+    """
+
+    def __init__(self) -> None:
+        self._thread: threading.Thread | None = None
+        self._digests: dict[str, str] = {}
+        self._error: Exception | None = None
+
+    def start(self, paths: list[str]) -> None:
+        self._thread = threading.Thread(target=self._run, args=(sorted(set(paths)),))
+        self._thread.start()
+
+    def _run(self, paths: list[str]) -> None:
+        try:
+            for path in paths:
+                self._digests[path] = _sha256_file(path)
+        except Exception as exc:  # raised again in the main thread by ``digests``
+            self._error = exc
+
+    def join(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+
+    def digests(self) -> dict[str, str]:
+        if self._error is not None:
+            raise self._error
+        return self._digests
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -188,27 +223,26 @@ def _publish(stage: Path, outdir: Path, manifest: dict) -> None:
         os.replace(stage / name, outdir / name)
 
 
-def _cmd_tokenizer_train(config: dict, out: Path) -> list:
+def _cmd_tokenizer_train(config: dict, out: Path, inputs) -> None:
     vocab_size = _require(config, "vocab_size")
     specials = config.get("special_tokens", list(tokenizer.REQUIRED_SPECIALS))
     files = _input_files(config, "corpus")
+    inputs([entry["path"] for entry in files])
     model = _combine(tokenizer.train_bpe, _ingest_all(files), vocab_size, specials)
     tokenizer.save_model(model, out / "tokenizer.json")
-    return [entry["path"] for entry in files]
 
 
-def _cmd_fertility(config: dict, out: Path) -> list:
+def _cmd_fertility(config: dict, out: Path, inputs) -> None:
     path_a = _require(config, "model_a")
     path_b = _require(config, "model_b")
+    files = _input_files(config, "corpus")
+    inputs([path_a, path_b] + [entry["path"] for entry in files])
     model_a = tokenizer.load_model(path_a)
     model_b = tokenizer.load_model(path_b)
-    files = _input_files(config, "corpus")
     words = tokenizer.count_words(_ingest_all(files))
-    reports_a = {r.language: r for r in _combine(tokenizer.fertility, model_a, words)}
-    reports_b = {r.language: r for r in _combine(tokenizer.fertility, model_b, words)}
+    reports = _combine(tokenizer.fertility, [model_a, model_b], words)
     comparison = {}
-    for language in sorted(reports_a):
-        a, b = reports_a[language], reports_b[language]
+    for a, b in zip(reports[::2], reports[1::2]):
         entry = {
             "a": a.to_json_dict(),
             "b": b.to_json_dict(),
@@ -218,31 +252,31 @@ def _cmd_fertility(config: dict, out: Path) -> list:
             entry["improvement_tokens_per_word_pct"] = tokenizer.improvement_pct(
                 a.tokens_per_word, b.tokens_per_word
             )
-        comparison[language] = entry
+        comparison[a.language] = entry
     _write_json(
         out / "fertility.json",
         {"model_a": path_a, "model_b": path_b, "languages": comparison},
     )
-    return [path_a, path_b] + [entry["path"] for entry in files]
 
 
-def _cmd_adapt(config: dict, out: Path) -> list:
+def _cmd_adapt(config: dict, out: Path, inputs) -> None:
     old_model_path = _require(config, "old_model")
     new_model_path = _require(config, "new_model")
     old_emb_path = _require(config, "old_embeddings")
+    inputs([old_model_path, new_model_path, old_emb_path])
     old_tok = tokenizer.load_model(old_model_path)
     new_tok = tokenizer.load_model(new_model_path)
     old_emb = vocab_adapt.load_embeddings(old_emb_path)
     new_emb, report = _combine(vocab_adapt.adapt_embeddings, old_tok, old_emb, new_tok)
     vocab_adapt.save_embeddings(new_emb, out / "embeddings.bin")
     _write_json(out / "adaptation.json", report.to_json_dict())
-    return [old_model_path, new_model_path, old_emb_path]
 
 
-def _cmd_build_collection(config: dict, out: Path) -> list:
+def _cmd_build_collection(config: dict, out: Path, inputs) -> None:
     templates_path = _require(config, "templates")
     plan_path = _require(config, "plan")
     record_files = _input_files(config, "records")
+    inputs([templates_path, plan_path] + [entry["path"] for entry in record_files])
     registry = collection.TemplateRegistry.from_json_file(templates_path)
     plan = collection.SamplingPlan.from_json_file(plan_path)
 
@@ -267,10 +301,9 @@ def _cmd_build_collection(config: dict, out: Path) -> list:
         "written_per_phase": written,
     }
     _write_json(out / "collection_manifest.json", manifest)
-    return [templates_path, plan_path] + [entry["path"] for entry in record_files]
 
 
-def _cmd_score(config: dict, out: Path) -> list:
+def _cmd_score(config: dict, out: Path, inputs) -> None:
     metric = _require(config, "metric")
     predictions = _require(config, "predictions")
     if metric not in _SCORERS:
@@ -280,10 +313,10 @@ def _cmd_score(config: dict, out: Path) -> list:
     if rejected:
         raise ConfigError(f"metric {metric} does not take options {sorted(rejected)}")
     options = {key: config[key] for key in option_kinds if key in config}
+    inputs([predictions])
     examples = getattr(metrics, reader)(predictions)
     report = _combine(getattr(metrics, metric), examples, **options)
     _write_json(out / "report.json", report.to_json_dict())
-    return [predictions]
 
 
 # command -> (handler, help text, {config key: kind} besides the global keys)
@@ -328,7 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(command, help=help_text)
         sub.add_argument("--config", type=Path, help="JSON config file")
         sub.add_argument("--seed", type=int, help="seed recorded in the manifest")
-        sub.add_argument("--threads", type=int, help="worker threads (never changes results)")
+        sub.add_argument(
+            "--threads", type=int, help="recorded in the manifest; no command reads it"
+        )
         sub.add_argument("--out", type=Path, help="output directory (default: out)")
     return parser
 
@@ -343,16 +378,19 @@ def main(argv=None) -> int:
         config["out"] = str(outdir)
         stage = Path(tempfile.mkdtemp(prefix=".stage-", dir=outdir))
         handler, _, _ = _COMMANDS[args.command]
+        checksums = _InputChecksums()
         try:
-            inputs = handler(config, stage)
+            handler(config, stage, checksums.start)
         except ConfigError as exc:  # a handler's ConfigError is about a config value
             raise ConfigError(f"{args.config}: {exc}") if args.config else exc
+        finally:
+            checksums.join()
         manifest = {
             "command": args.command,
             "version": __version__,
             "seed": config["seed"],
             "config": {key: config[key] for key in sorted(config)},
-            "inputs": {path: _sha256_file(path) for path in sorted(set(inputs))},
+            "inputs": checksums.digests(),
         }
         _publish(stage, outdir, manifest)
     except Exception as exc:  # distilled to an exit code

@@ -33,8 +33,8 @@ one call joined by spaces: no learned piece holds an ASCII whitespace byte
 a token of its own and the ids split back at them.
 
 Only :func:`count_words` splits text into words, for training and fertility
-alike; fertility encodes each distinct word once and counts whitespace bytes
-from lengths.
+alike; fertility encodes each distinct word once per model, counts its
+``str`` words once for all models, and counts whitespace bytes from lengths.
 
 Token ids are laid out as: special placeholders first, then the 256 single
 bytes, then one piece per learned merge. Because the base alphabet is the
@@ -44,6 +44,7 @@ full byte range, every input is encodable and ``decode(encode(x)) == x``.
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import heapq
 import json
@@ -554,13 +555,16 @@ class FertilityReport:
         return asdict(self)
 
 
-def fertility(model: TokenizerModel, words: dict[str, list]) -> list[FertilityReport]:
-    """Measure per-language token counts from a :func:`count_words` table.
+def fertility(
+    models: Sequence[TokenizerModel], words: dict[str, list]
+) -> list[FertilityReport]:
+    """Measure per-language token counts of each model from a :func:`count_words` table.
 
-    ``tokens_per_word`` divides by ``str.split`` word counts, taken from the
-    distinct byte words (ASCII whitespace is also ``str`` whitespace), and
-    counts each ASCII whitespace byte as one token. Each distinct word is
-    encoded once, weighted by its frequency. Reports are sorted by language.
+    ``tokens_per_word`` divides by ``str.split`` word counts, taken once per
+    language from the distinct byte words (ASCII whitespace is also ``str``
+    whitespace), and counts each ASCII whitespace byte as one token. Each
+    distinct word is encoded once per model, weighted by its frequency.
+    Reports are sorted by language and, within a language, follow ``models``.
     """
     if not words:
         raise ValueError("fertility requires a non-empty document stream")
@@ -569,18 +573,19 @@ def fertility(model: TokenizerModel, words: dict[str, list]) -> list[FertilityRe
         # Frequency-weighted sums over the distinct words, each word's bytes
         # replaced by its tokens; map keeps the per-word loop in C.
         freqs = counts.values()
-        n_ids = chain.from_iterable(sizes for _, sizes in _encode_words(model, counts.keys()))
-        n_tokens = n_bytes - sum(map(mul, freqs, map(sub, map(len, counts), n_ids)))
         n_words = sum(map(mul, freqs, map(len, map(str.split, map(bytes.decode, counts)))))
-        reports.append(
-            FertilityReport(
-                language=lang,
-                doc_count=n_docs,
-                total_tokens=n_tokens,
-                tokens_per_doc=n_tokens / n_docs,
-                tokens_per_word=(n_tokens / n_words) if n_words else 0.0,
+        for model in models:
+            n_ids = chain.from_iterable(sizes for _, sizes in _encode_words(model, counts.keys()))
+            n_tokens = n_bytes - sum(map(mul, freqs, map(sub, map(len, counts), n_ids)))
+            reports.append(
+                FertilityReport(
+                    language=lang,
+                    doc_count=n_docs,
+                    total_tokens=n_tokens,
+                    tokens_per_doc=n_tokens / n_docs,
+                    tokens_per_word=(n_tokens / n_words) if n_words else 0.0,
+                )
             )
-        )
     return reports
 
 
@@ -605,14 +610,28 @@ def improvement_pct(value: float, baseline: float) -> float:
 
 
 def serialize_model(model: TokenizerModel) -> bytes:
-    """Canonical UTF-8 serialization: pretty-printed JSON with LF endings."""
-    payload = {
-        "version": MODEL_FORMAT_VERSION,
-        "special_tokens": dict(model.special_tokens),
-        "pieces": [base64.b64encode(p).decode("ascii") for p in model.pieces],
-        "merges": [list(m) for m in model.merges],
-    }
-    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    """Canonical UTF-8 serialization: pretty-printed JSON with LF endings.
+
+    The bytes are ``json.dumps(payload, indent=2, ensure_ascii=False)`` of the
+    four fields plus a newline. Only the special-token names need the JSON
+    encoder, and they get its C one, which ``indent`` would rule out: pieces
+    are base64 ASCII and merges are integers, so both are formatted directly.
+    """
+    specials = json.dumps(
+        dict(model.special_tokens), ensure_ascii=False, separators=(",\n    ", ": ")
+    )
+    pieces = b'",\n    "'.join(map(base64.b64encode, model.pieces)).decode("ascii")
+    merges = "[]"
+    if model.merges:
+        pairs = ",\n    ".join(map("[\n      %d,\n      %d\n    ]".__mod__, model.merges))
+        merges = f"[\n    {pairs}\n  ]"
+    text = (
+        f'{{\n  "version": {MODEL_FORMAT_VERSION},\n'
+        f'  "special_tokens": {{\n    {specials[1:-1]}\n  }},\n'
+        f'  "pieces": [\n    "{pieces}"\n  ],\n'
+        f'  "merges": {merges}\n}}\n'
+    )
+    return text.encode("utf-8")
 
 
 def model_hash(model: TokenizerModel) -> str:
@@ -636,8 +655,8 @@ def load_model(path) -> TokenizerModel:
         pieces = _typed(payload["pieces"], "a list of strings", "pieces")
         decoded = []
         for index, entry in enumerate(pieces):
-            try:
-                decoded.append(base64.b64decode(entry, validate=True))
+            try:  # what b64decode(entry, validate=True) calls, without its checks in Python
+                decoded.append(binascii.a2b_base64(entry, strict_mode=True))
             except ValueError as exc:
                 raise ValueError(f"pieces[{index}] is not valid base64: {exc}") from exc
         merges = _typed(payload["merges"], "a list", "merges")

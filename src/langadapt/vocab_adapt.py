@@ -189,10 +189,11 @@ def adapt_embeddings(
     rows are bit-exact, averaged rows accumulate in float64 left-to-right
     over the encoded subtoken order before rounding to float32.
     """
-    if old_emb.vocab_hash != model_hash(old_tok):
+    old_hash = model_hash(old_tok)
+    if old_emb.vocab_hash != old_hash:
         raise VocabBindingError(
             "embedding matrix is not bound to the given old tokenizer "
-            f"(vocab_hash {old_emb.vocab_hash} != {model_hash(old_tok)})"
+            f"(vocab_hash {old_emb.vocab_hash} != {old_hash})"
         )
     if old_emb.rows != old_tok.piece_count:
         raise VocabBindingError(

@@ -5,11 +5,13 @@ behavior: the BPE trainer rescans every word each iteration, the encoder
 replays merges one by one over the whole sequence, the collection oracle
 builds one instance per copy, and the metric oracles count n-grams with
 plain loops or, for ``counter_chrf_pp``, one ``Counter`` per order and text.
+The model file oracle puts the whole payload through ``json.dumps``.
 None of them share code with the library paths they check.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -100,6 +102,17 @@ def naive_encode_bytes(pieces, merges, n_specials: int, data: bytes) -> list[int
     for rank, (left, right) in enumerate(merges):
         ids = _replace_pair(ids, left, right, n_specials + 256 + rank)
     return ids
+
+
+def json_model_bytes(model) -> bytes:
+    """The canonical model file: the four fields through ``json.dumps(indent=2)``."""
+    payload = {
+        "version": 1,
+        "special_tokens": dict(model.special_tokens),
+        "pieces": [base64.b64encode(p).decode("ascii") for p in model.pieces],
+        "merges": [list(m) for m in model.merges],
+    }
+    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 def _char_ngrams(text: str, n: int) -> dict[str, int]:

@@ -88,8 +88,7 @@ def test_criterion_01_fertility_gain():
         held_out = tokenizer.count_words(
             synth.documents({"ind": 1.0}, 2_000_000, seed=999, source="held_out")
         )
-        report_a = tokenizer.fertility(model_a, held_out)[0]
-        report_b = tokenizer.fertility(model_b, held_out)[0]
+        report_a, report_b = tokenizer.fertility([model_a, model_b], held_out)
         elapsed = time.monotonic() - started
         gain = (
             (report_b.tokens_per_word - report_a.tokens_per_word)

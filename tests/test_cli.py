@@ -3,6 +3,8 @@ import json
 import math
 import os
 import random
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -967,6 +969,104 @@ class TestPublish:
         assert capsys.readouterr().err == "error: disk full\n"
         assert moved == ["collection_manifest.json"]
         assert sorted(os.listdir(out)) == [n for n in self.BUILT if n != "manifest.json"]
+
+
+class TestInputChecksums:
+    """Input checksums come from one background thread, joined on every exit."""
+
+    def train_config(self, tmp_path, corpus_paths, vocab_size=270):
+        return write_config(
+            tmp_path / "train.json",
+            {"corpus": list(map(str, corpus_paths)), "language": "ind", "vocab_size": vocab_size},
+        )
+
+    def test_empty_and_large_inputs(self, tmp_path, toy_corpus):
+        # The large file spans several reads of the hashing buffer and ends
+        # in a partial one.
+        empty, large = tmp_path / "empty.txt", tmp_path / "large.txt"
+        empty.write_bytes(b"")
+        words = toy_corpus.read_bytes()
+        large.write_bytes(words * (2**20 // len(words) + 1) + b"tail\n")
+        assert large.stat().st_size > 2**20
+        config = self.train_config(tmp_path, [empty, large])
+        out = tmp_path / "out"
+        assert run("tokenizer-train", "--config", config, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"] == {
+            str(empty): hashlib.sha256(b"").hexdigest(),
+            str(large): hashlib.sha256(large.read_bytes()).hexdigest(),
+        }
+
+    @pytest.mark.parametrize("command", ["tokenizer-train", "score"])
+    def test_missing_input_fails_as_the_reader_does(self, tmp_path, capsys, command):
+        # The command's own read fails first, and its error is the one shown.
+        missing = tmp_path / "missing.jsonl"
+        if command == "score":
+            config = write_config(
+                tmp_path / "c.json", {"metric": "rouge_l", "predictions": str(missing)}
+            )
+        else:
+            config = self.train_config(tmp_path, [missing])
+        assert run(command, "--config", config, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+
+    @pytest.mark.parametrize("outcome", ["success", "command-error", "publish-error"])
+    def test_thread_joined_on_every_exit(self, tmp_path, toy_corpus, monkeypatch, capsys, outcome):
+        sha256_file, calls = cli._sha256_file, []
+
+        def slow_sha256_file(path):
+            on_main = threading.current_thread() is threading.main_thread()
+            calls.append((Path(path).name, on_main))
+            if not on_main:
+                time.sleep(0.05)  # still running unless main joins it
+            return sha256_file(path)
+
+        def failing_replace(source, target):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_sha256_file", slow_sha256_file)
+        if outcome == "publish-error":
+            monkeypatch.setattr(cli.os, "replace", failing_replace)
+        vocab_size = 100 if outcome == "command-error" else 270
+        config = self.train_config(tmp_path, [toy_corpus], vocab_size)
+        before = threading.active_count()
+        code = run("tokenizer-train", "--config", config, "--out", tmp_path / "o")
+        assert threading.active_count() == before
+        assert code == (0 if outcome == "success" else 1)
+        assert calls[0] == (toy_corpus.name, False)  # the input, off the main thread
+        if outcome == "success":
+            assert calls[1:] == [("tokenizer.json", True)]
+        if outcome == "publish-error":
+            assert capsys.readouterr().err == "error: disk full\n"
+
+    def test_thread_error_raised_when_the_command_succeeds(
+        self, tmp_path, toy_corpus, monkeypatch, capsys
+    ):
+        sha256_file = cli._sha256_file
+
+        def fail_off_main_thread(path):
+            if threading.current_thread() is not threading.main_thread():
+                raise OSError(f"{path}: vanished")
+            return sha256_file(path)
+
+        monkeypatch.setattr(cli, "_sha256_file", fail_off_main_thread)
+        config, out = self.train_config(tmp_path, [toy_corpus]), tmp_path / "o"
+        assert run("tokenizer-train", "--config", config, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {toy_corpus}: vanished\n"
+        assert sorted(os.listdir(out)) == []
+
+    def test_command_error_wins_over_thread_error(self, tmp_path, toy_corpus, monkeypatch, capsys):
+        def fail(path):
+            raise OSError("thread error")
+
+        monkeypatch.setattr(cli, "_sha256_file", fail)
+        config = self.train_config(tmp_path, [toy_corpus], vocab_size=100)
+        assert run("tokenizer-train", "--config", config, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: vocab_size must be at least 259 (256 bytes + 3 specials), got 100\n"
+        )
 
 
 # Cases whose surrogate sits in a whole-file JSON input: a template, a plan or a config.

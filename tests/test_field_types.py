@@ -368,8 +368,19 @@ def test_model_train_bpe_cannot_write_names_file(tmp_path, edit, message):
 
 @pytest.mark.parametrize(
     "piece, reason",
-    [("YQ", "Incorrect padding"), ("!!", "Only base64 data is allowed")],
-    ids=["unpadded", "not-base64"],
+    [
+        ("YQ", "Incorrect padding"),
+        ("!!", "Only base64 data is allowed"),
+        ("YQ=", "Incorrect padding"),
+        ("YQ==YQ==", "Excess data after padding"),
+        ("Y Q==", "Only base64 data is allowed"),
+        ("====", "Leading padding not allowed"),
+        ("YWJjZ", "Invalid base64-encoded string: number of data characters (5) "
+                  "cannot be 1 more than a multiple of 4"),
+        ("Yé==", "string argument should contain only ASCII characters"),
+    ],
+    ids=["unpadded", "not-base64", "short-padding", "after-padding", "inner-space",
+         "leading-padding", "one-char-remainder", "non-ascii"],
 )
 def test_model_bad_base64_piece_names_index(tmp_path, piece, reason):
     payload = _model_payload()

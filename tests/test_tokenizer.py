@@ -13,7 +13,7 @@ from langadapt import tokenizer
 from langadapt.corpus import CorpusDocument
 from langadapt.tokenizer import FertilityReport, count_words, fertility
 
-from oracles import _split_words, naive_encode_bytes, naive_train_bpe
+from oracles import _split_words, json_model_bytes, naive_encode_bytes, naive_train_bpe
 
 ASCII_WS = b" \t\n\r\x0b\x0c"
 
@@ -279,6 +279,11 @@ class TestEncodeDecode:
             tokenizer.decode(model, [model.byte_offset + 0x80])
 
 
+# Characters the JSON encoder escapes (a quote, a backslash, controls) or
+# writes as UTF-8 under ``ensure_ascii=False``.
+SPECIAL_NAME_CHARS = st.sampled_from('"\\/\x00\x08\x1f\x7f\x85\u2028é語😀 a')
+
+
 class TestSerialization:
     def test_save_load_round_trip(self, tmp_path):
         model = tokenizer.train_bpe(docs_from(["makan nasi makan"]), 270)
@@ -303,6 +308,25 @@ class TestSerialization:
         k = model.byte_offset
         for rank, (left, right) in enumerate(model.merges):
             assert model.pieces[k + 256 + rank] == model.pieces[left] + model.pieces[right]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        extra=st.lists(
+            st.text(SPECIAL_NAME_CHARS | st.characters()),
+            max_size=4,
+            unique=True,
+        ),
+        order=st.randoms(use_true_random=False),
+        text=st.text(st.sampled_from("abcé \n"), max_size=60),
+        merges=st.integers(0, 24),
+    )
+    def test_serialization_matches_json_dumps(self, extra, order, text, merges):
+        # Special names with quotes, backslashes, control and non-ASCII
+        # characters, in any order; zero merges print as ``[]``.
+        names = list(dict.fromkeys([*tokenizer.REQUIRED_SPECIALS, *extra]))
+        order.shuffle(names)
+        model = tokenizer.train_bpe(docs_from(["ab ab " + text]), 256 + len(names) + merges, names)
+        assert tokenizer.serialize_model(model) == json_model_bytes(model)
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -350,7 +374,7 @@ class TestFertility:
     def test_single_doc_mean(self):
         model = tokenizer.train_bpe(docs_from(["abc abc"]), 260)
         doc = docs_from(["abcabcd"])  # one word, 7 bytes
-        (report,) = fertility(model, count_words(doc))
+        (report,) = fertility([model], count_words(doc))
         tokens = len(tokenizer.encode(model, "abcabcd"))
         assert report.total_tokens == tokens
         assert report.tokens_per_doc == float(tokens)
@@ -364,7 +388,7 @@ class TestFertility:
             lang = rng.choice(["ind", "sun"])
             text = " ".join(random_words(rng, n_types=15, n_words=rng.randrange(1, 9)))
             docs.append(CorpusDocument(id=str(i), text=text, language=lang, source="s"))
-        reports = {r.language: r for r in fertility(model, count_words(docs))}
+        reports = {r.language: r for r in fertility([model], count_words(docs))}
         for lang in ("ind", "sun"):
             mine = [d for d in docs if d.language == lang]
             total = sum(len(tokenizer.encode(model, d.text)) for d in mine)
@@ -400,7 +424,7 @@ class TestFertility:
             entry[0] += 1
             entry[1] += tokens
             entry[2] += len(doc.text.split())
-        reports = fertility(model, count_words(docs))
+        reports = fertility([model], count_words(docs))
         assert [
             (r.language, r.doc_count, r.total_tokens, r.tokens_per_word) for r in reports
         ] == [
@@ -418,7 +442,7 @@ class TestFertility:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            fertility(model, table)
+            fertility([model], table)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -436,7 +460,7 @@ class TestFertility:
         ind_tokens = len(naive_encode_bytes(pieces, merges, k, b"aku makan nasi goreng"))
         for path in ENCODER_PATHS:
             with encoder_path(path):
-                reports = fertility(model, count_words(docs))
+                reports = fertility([model], count_words(docs))
             assert [(r.language, r.total_tokens, r.tokens_per_word) for r in reports] == [
                 ("ind", ind_tokens, ind_tokens / 4),
                 ("sun", 3, 0.0),
@@ -449,19 +473,31 @@ class TestFertility:
         model = tokenizer.train_bpe(docs_from(["aku makan nasi", "nasi goreng makan"]), 275)
         words = ["".join(letters) for letters in itertools.product("agikmnsu", repeat=6)]
         table = count_words(docs_from([" ".join(words)]))
-        expected = fertility(model, table)  # numpy and the rank arrays load here
+        expected = fertility([model], table)  # numpy and the rank arrays load here
         tracemalloc.start()
         try:
-            assert fertility(model, table) == expected
+            assert fertility([model], table) == expected
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_models_together_match_each_alone(self):
+        # One call over several models: reports by language, then by model.
+        rng = random.Random(4)
+        texts = [" ".join(random_words(rng, n_types=20, n_words=12)) for _ in range(6)]
+        small = tokenizer.train_bpe(docs_from(texts), 265)
+        large = tokenizer.train_bpe(docs_from(texts), 290)
+        table = count_words(docs_from(texts[:3], "sun") + docs_from(texts[3:], "ind"))
+        alone = [fertility([model], table) for model in (small, large)]
+        together = fertility([small, large], table)
+        assert [r.language for r in together] == ["ind", "ind", "sun", "sun"]
+        assert together == [report for pair in zip(*alone) for report in pair]
+
     def test_empty_stream(self):
         model = tokenizer.train_bpe(docs_from(["ab ab"]), 260)
         with pytest.raises(ValueError, match="non-empty"):
-            fertility(model, count_words([]))
+            fertility([model], count_words([]))
 
 
 def report(tokens_per_doc, language="ind"):
