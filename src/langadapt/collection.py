@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -402,6 +403,8 @@ def build_collection(
         groups.append(CopyGroup(base, range(source_plan.upsample_factor)))
 
     per_source = {s: n * plan.per_source[s].upsample_factor for s, n in sorted(taken.items())}
+    if sum(per_source.values()) > sys.maxsize:  # the stream's len() must fit
+        raise PlanError(f"more than {sys.maxsize} instances after upsampling")
     return InstanceStream(tuple(groups)), per_source
 
 

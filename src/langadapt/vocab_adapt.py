@@ -9,7 +9,8 @@ the old model lacks fall back to the global mean row.
 
 The old matrix is held once, as the float32 array read from its file;
 float64 appears only in the accumulator of one averaged row and of the
-global mean, never as a copy of the whole matrix.
+global mean, never as a copy of the whole matrix. A matrix checks its
+shape, hash and values when made, so a valid file is scanned once.
 """
 
 from __future__ import annotations
@@ -56,12 +57,22 @@ def _check_hash(vocab_hash: str) -> None:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingMatrix:
-    """A |V| x d float32 matrix bound to a tokenizer by vocab hash."""
+    """A |V| x d float32 matrix bound to a tokenizer by vocab hash, checked when made."""
 
     data: np.ndarray
     vocab_hash: str
+
+    def __post_init__(self) -> None:
+        if self.data.ndim != 2:
+            raise ValueError(f"embedding data must be 2-dimensional, got {self.data.ndim}")
+        if self.rows < 1 or self.dims < 1:
+            raise ValueError("embedding matrix must have at least one row and column")
+        _check_hash(self.vocab_hash)
+        bad = _first_non_finite_row(self.data)
+        if bad is not None:
+            raise ValueError(f"non-finite value in embedding row {bad}")
 
     @property
     def rows(self) -> int:
@@ -73,19 +84,7 @@ class EmbeddingMatrix:
 
     @classmethod
     def from_array(cls, array, vocab_hash: str) -> "EmbeddingMatrix":
-        data = np.ascontiguousarray(array, dtype=np.float32)
-        if data.ndim != 2:
-            raise ValueError(f"embedding data must be 2-dimensional, got {data.ndim}")
-        _check_hash(vocab_hash)
-        return cls(data=data, vocab_hash=vocab_hash)
-
-    def validate(self) -> None:
-        if self.data.ndim != 2 or self.rows < 1 or self.dims < 1:
-            raise ValueError("embedding matrix must have at least one row and column")
-        _check_hash(self.vocab_hash)
-        bad = _first_non_finite_row(self.data)
-        if bad is not None:
-            raise ValueError(f"non-finite value in embedding row {bad}")
+        return cls(np.ascontiguousarray(array, dtype=np.float32), vocab_hash)
 
 
 def _first_non_finite_row(data: np.ndarray) -> int | None:
@@ -102,7 +101,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
     Layout (little-endian, no padding): magic ``EMB1``, u32 rows, u32 dims,
     32 hex bytes of vocab hash, then rows*dims float32 row-major.
     """
-    matrix.validate()
+    EmbeddingMatrix(matrix.data, matrix.vocab_hash)  # checked again: data stays writable
     with open(path, "wb") as handle:
         handle.write(_HEADER.pack(_MAGIC, matrix.rows, matrix.dims))
         handle.write(matrix.vocab_hash.encode("ascii"))
@@ -144,13 +143,14 @@ def load_embeddings(path) -> EmbeddingMatrix:
                 f"expected {expected} bytes, got {size}"
             )
         data = np.fromfile(handle, dtype="<f4", count=rows * dims).reshape(rows, dims)
-    bad = _first_non_finite_row(data)
-    if bad is not None:
+    try:
+        return EmbeddingMatrix(data=data, vocab_hash=vocab_hash)
+    except ValueError as exc:  # the header is checked, so only a row can be at fault
+        bad = _first_non_finite_row(data)
         raise EmbeddingFormatError(
             f"{path}: non-finite value in embedding row {bad} "
             f"at byte offset {hash_end + bad * dims * 4}"
-        )
-    return EmbeddingMatrix(data=data, vocab_hash=vocab_hash)
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,6 @@ def adapt_embeddings(
             f"embedding rows ({old_emb.rows}) != old vocabulary size "
             f"({old_tok.piece_count})"
         )
-    old_emb.validate()
 
     old32 = old_emb.data
     old_index = {piece: i for i, piece in enumerate(old_tok.pieces) if i >= old_tok.byte_offset}

@@ -3,6 +3,9 @@ import json
 import math
 import os
 import random
+import shutil
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -75,6 +78,17 @@ class TestTokenizerTrain:
             manifests.append((out / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
         assert json.loads(manifests[0])["config"]["threads"] == 1
+
+    def test_repeated_config_key_keeps_its_last_value(self, tmp_path, toy_corpus):
+        config = tmp_path / "train.json"
+        config.write_text(
+            f'{{"corpus": {json.dumps(str(toy_corpus))}, "language": "ind", '
+            '"vocab_size": 100, "vocab_size": 300}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert run("tokenizer-train", "--config", config, "--out", out) == 0
+        assert (out / "tokenizer.json").read_bytes() == (DATA / "golden_tokenizer.json").read_bytes()
 
     def test_vocab_size_too_small_exits_nonzero(self, tmp_path, toy_corpus, capsys):
         config = write_config(
@@ -688,6 +702,26 @@ class TestBuildCollection:
         assert f"error: {target}: {message}" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "n_records, factor", [(1, 2**63), (2, 2**62), (1, 10**400)],
+        ids=["2**63", "two-at-2**62", "10**400"],
+    )
+    def test_instance_count_beyond_sys_maxsize_names_config(
+        self, tmp_path, capsys, n_records, factor
+    ):
+        cfg = collection_fixture(tmp_path, n_records=n_records, factor=factor)
+        # Targets bound what a run writes, should the count ever pass unchecked.
+        plan_path = Path(json.loads(cfg.read_text(encoding="utf-8"))["plan"])
+        plan = json.loads(plan_path.read_text(encoding="utf-8"))
+        plan["target_totals"] = {"phase1": 0, "phase2": 10}
+        plan_path.write_text(json.dumps(plan), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("build-collection", "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: more than {sys.maxsize} instances after upsampling\n"
+        )
+        assert os.listdir(out) == []
+
     def test_default_plan_factors(self):
         plan = collection.SamplingPlan.from_json_file(DATA / "human_centric" / "plan.json")
         factors = {s: p.upsample_factor for s, p in plan.per_source.items()}
@@ -861,6 +895,46 @@ class TestScore:
             f"error: {preds}: line 2: invalid JSON: Infinity is not a JSON number\n"
         )
 
+    @pytest.mark.parametrize(
+        "metric, valid, invalid, message",
+        [
+            ("mc1_accuracy", '"option_scores": [0.5, 0.1], "gold_index": 0',
+             '"option_scores": [1e400, 0.1], "gold_index": 0',
+             "non-finite option score for item '2'"),
+            ("safety_preference", '"benign_score": -1.0, "harmful_score": -2.0',
+             '"benign_score": -1e400, "harmful_score": -2.0',
+             "non-finite likelihood score for pair '2'"),
+        ],
+        ids=["mc1-1e400", "safety-minus-1e400"],
+    )
+    def test_score_overflowing_a_float_names_line(
+        self, tmp_path, capsys, metric, valid, invalid, message
+    ):
+        # 1e400 is valid JSON and reads as inf.
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(f'{{"id": "1", {valid}}}\n', encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", {"metric": metric, "predictions": str(preds)})
+        out = tmp_path / "out"
+        assert run("score", "--config", cfg, "--out", out) == 0
+        before = snapshot(out)
+        with open(preds, "a", encoding="utf-8") as fh:
+            fh.write(f'{{"id": "2", {invalid}}}\n')
+        assert run("score", "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {preds}: line 2: {message}\n"
+        assert snapshot(out) == before
+
+    def test_repeated_field_keeps_its_last_value(self, tmp_path):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            '{"id": "1", "hypothesis": "x y z", "hypothesis": "a b", "references": ["a b"]}\n',
+            encoding="utf-8",
+        )
+        assert metrics.read_prediction_pairs(preds)[0].hypothesis == "a b"
+        cfg = write_config(tmp_path / "cfg.json", {"metric": "rouge_l", "predictions": str(preds)})
+        out = tmp_path / "out"
+        assert run("score", "--config", cfg, "--out", out) == 0
+        assert json.loads((out / "report.json").read_text(encoding="utf-8"))["aggregate"] == 100.0
+
     @pytest.mark.parametrize("metric", ["chrf_pp", "rouge_l"])
     def test_beta_whose_square_overflows_rejected(self, tmp_path, capsys, metric):
         preds = tmp_path / "preds.jsonl"
@@ -885,6 +959,17 @@ class TestScore:
         preds.write_text(line, encoding="utf-8")
         cfg = write_config(
             tmp_path / "cfg.json", {"metric": "safety_preference", "predictions": str(preds)}
+        )
+        out = tmp_path / "out"
+        assert run("score", "--config", cfg, "--out", out) == 0
+        assert json.loads((out / "report.json").read_text(encoding="utf-8"))["aggregate"] == 100.0
+
+    def test_integer_too_large_for_a_float_scores_mc1(self, tmp_path):
+        preds = tmp_path / "mc1.jsonl"
+        line = '{"id": "1", "option_scores": [0.5, 1' + "0" * 400 + ', 0.9], "gold_index": 1}\n'
+        preds.write_text(line, encoding="utf-8")
+        cfg = write_config(
+            tmp_path / "cfg.json", {"metric": "mc1_accuracy", "predictions": str(preds)}
         )
         out = tmp_path / "out"
         assert run("score", "--config", cfg, "--out", out) == 0
@@ -1160,3 +1245,57 @@ def test_lone_surrogate_names_file_and_line(tmp_path, capsys, case):
     cfg = write_config(tmp_path / "cfg.json", config)
     assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+# Runs each subcommand once, the later ones on the first one's tokenizer, with
+# configs and paths relative to the working directory.
+HASH_SEED_RUN = """
+import sys
+from langadapt.cli import main
+for command in ("tokenizer-train", "fertility", "adapt", "build-collection", "score"):
+    if main([command, "--config", command + ".json", "--out", "out/" + command]) != 0:
+        sys.exit(command + " failed")
+"""
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path, toy_corpus):
+    base = tmp_path / "base"
+    base.mkdir()
+    shutil.copy(toy_corpus, base / "words.txt")
+    TestAdapt().prepare(base)  # tok.json and emb.bin, bound to each other
+    collection_fixture(base, n_records=12, factor=3)
+    plan = json.loads((base / "plan.json").read_text(encoding="utf-8"))
+    plan["target_totals"] = {"phase2": 20}
+    (base / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+    (base / "preds.jsonl").write_text(
+        '{"id": "1", "hypothesis": "kucing makan ikan", "references": ["kucing makan"]}\n'
+        '{"id": "2", "hypothesis": "anjing tidur", "references": ["anjing tidur", "x"]}\n',
+        encoding="utf-8",
+    )
+    trained = "out/tokenizer-train/tokenizer.json"
+    configs = {
+        "tokenizer-train": {"corpus": "words.txt", "language": "ind", "vocab_size": 300},
+        "fertility": {"model_a": trained, "model_b": "tok.json", "corpus": "words.txt",
+                      "language": "ind"},
+        "adapt": {"old_model": "tok.json", "new_model": trained, "old_embeddings": "emb.bin"},
+        "build-collection": {"templates": "templates.json", "plan": "plan.json",
+                             "records": [{"path": "records.jsonl", "source": "identity"}],
+                             "language": "ind"},
+        "score": {"metric": "chrf_pp", "predictions": "preds.jsonl"},
+    }
+    for command, config in configs.items():
+        write_config(base / f"{command}.json", config)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    trees = []
+    for seed in ("0", "1"):
+        cwd = tmp_path / f"seed{seed}"
+        shutil.copytree(base, cwd)
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        result = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_RUN], cwd=cwd, env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        trees.append(snapshot(cwd))
+    outputs = sorted(str(path) for path in trees[0] if path.name == "manifest.json")
+    assert outputs == [f"out/{command}/manifest.json" for command in sorted(configs)]
+    assert trees[0] == trees[1]

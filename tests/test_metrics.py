@@ -358,8 +358,8 @@ class TestMc1Accuracy:
 
     def test_non_finite_names_id(self):
         for bad in (float("nan"), float("inf")):
-            items = [MC1Item("ok", (0.1, 0.9), 1), MC1Item("bad", (bad, 1.0), 1)]
             with pytest.raises(ValueError, match="bad"):
+                items = [MC1Item("ok", (0.1, 0.9), 1), MC1Item("bad", (bad, 1.0), 1)]
                 mc1_accuracy(items)
 
     def test_integer_too_large_for_a_float_is_finite(self):
@@ -416,8 +416,8 @@ class TestSafetyPreference:
         assert safety_preference(pairs).per_example == {"1": 1.0, "2": 0.0}
 
     def test_non_finite_names_id(self):
-        pairs = [LikelihoodPair("ok", -1.0, -2.0), LikelihoodPair("bad", float("nan"), -2.0)]
         with pytest.raises(ValueError, match="bad"):
+            pairs = [LikelihoodPair("ok", -1.0, -2.0), LikelihoodPair("bad", float("nan"), -2.0)]
             safety_preference(pairs)
 
 

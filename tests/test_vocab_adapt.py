@@ -160,6 +160,51 @@ class TestFileFormat:
         assert load_embeddings(path).data.tobytes() == data.tobytes()
 
 
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "shape, vocab_hash, bad_row, message",
+        [
+            ((4,), "0" * 32, None, "embedding data must be 2-dimensional, got 1"),
+            ((0, 4), "0" * 32, None, "embedding matrix must have at least one row and column"),
+            ((4, 0), "0" * 32, None, "embedding matrix must have at least one row and column"),
+            ((4, 2), "AB" * 16, None,
+             f"vocab_hash must be 32 lowercase hex characters, got {'AB' * 16!r}"),
+            ((4, 2), "0" * 32, [np.inf, 1.0], "non-finite value in embedding row 2"),
+            ((4, 2), "0" * 32, [1.0, np.nan], "non-finite value in embedding row 2"),
+        ],
+        ids=["1-d", "no-rows", "no-columns", "hash", "inf-row", "nan-row"],
+    )
+    @pytest.mark.parametrize("make", ["constructor", "from_array"])
+    def test_invalid_matrix_rejected_when_made(self, shape, vocab_hash, bad_row, message, make):
+        data = np.ones(shape, dtype=np.float32)
+        if bad_row is not None:
+            data[2] = bad_row
+        with pytest.raises(ValueError) as raised:
+            if make == "constructor":
+                EmbeddingMatrix(data, vocab_hash)
+            else:
+                EmbeddingMatrix.from_array(data, vocab_hash)
+        assert str(raised.value) == message
+
+    def test_save_checks_data_changed_after_construction(self, tmp_path):
+        matrix = EmbeddingMatrix.from_array(np.ones((3, 2)), "0" * 32)
+        matrix.data[2, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite value in embedding row 2$"):
+            save_embeddings(matrix, tmp_path / "x.bin")
+        assert not (tmp_path / "x.bin").exists()
+
+    def test_old_matrix_scanned_once_from_file_to_adaptation(self, tmp_path, old_model, new_model):
+        path = tmp_path / "old.bin"
+        save_embeddings(matrix_for(old_model, seed=9), path)
+        scan = vocab_adapt._first_non_finite_row
+        with mock.patch.object(vocab_adapt, "_first_non_finite_row", wraps=scan) as spy:
+            old_emb = load_embeddings(path)
+            new_emb, _ = adapt_embeddings(old_model, old_emb, new_model)
+        scanned = [call.args[0] for call in spy.call_args_list]
+        assert [data is old_emb.data for data in scanned] == [True, False]
+        assert scanned[1] is new_emb.data
+
+
 class TestAdaptEmbeddings:
     def test_identity_adaptation_is_exact(self, old_model):
         old_emb = matrix_for(old_model, seed=1)
@@ -273,8 +318,8 @@ class TestAdaptEmbeddings:
     def test_non_finite_row_named(self, old_model, new_model):
         data = np.ones((old_model.piece_count, 8), dtype=np.float32)
         data[17, 3] = np.nan
-        bad = EmbeddingMatrix.from_array(data, tokenizer.model_hash(old_model))
         with pytest.raises(ValueError, match="row 17"):
+            bad = EmbeddingMatrix.from_array(data, tokenizer.model_hash(old_model))
             adapt_embeddings(old_model, bad, new_model)
 
     def test_new_special_fallback_is_global_mean(self, old_model):
