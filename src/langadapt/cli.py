@@ -161,6 +161,8 @@ def _input_files(config: dict, key: str) -> list[dict]:
                 "source": entry.get("source", config.get("source", Path(path).stem)),
             }
             corpus._check_format(resolved["format"])
+            if not resolved["source"]:
+                raise ValueError("source must be non-empty")
             if resolved["language"] is not None:  # records may name their own
                 corpus._check_language(resolved["language"])
         except ValueError as exc:

@@ -1,11 +1,11 @@
 """Instruction corpus compilation.
 
-Renders prompt templates over task records, inverts labeled datasets into
-generation tasks, applies per-source upsampling factors and caps, partitions
-instances into the two tuning phases, and subsamples phases to target sizes
-by source-stratified selection. Every step is deterministic for fixed inputs
-and seed; template choice and subsampling use stable SHA-256 derived hashes
-rather than process-dependent randomness.
+Renders prompt templates over task records, applies per-source upsampling
+factors and caps, partitions instances into the two tuning phases, and
+subsamples phases to target sizes by source-stratified selection. Every
+step is deterministic for fixed inputs and seed; template choice and
+subsampling use stable SHA-256 derived hashes rather than process-dependent
+randomness.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "SourcePlan",
     "TemplateRegistry",
     "build_collection",
-    "invert_generative",
     "render_template",
     "split_phases",
     "subsample_to_target",
@@ -50,7 +49,7 @@ class Phase(str, Enum):
 
 
 # Phase 1 is reserved for NLP task-style instances; generation-style prompts
-# (generative inversions, knowledge and human-centric prompts) are phase 2.
+# (knowledge and human-centric prompts) are phase 2.
 PHASE1_TASK_TYPES = frozenset(
     {
         TaskType.CLASSIFICATION,
@@ -242,39 +241,6 @@ def render_template(
         source=record.source,
         template_id=template.id,
         phase=phase,
-    )
-
-
-def invert_generative(record: TaskRecord) -> TaskRecord:
-    """Swap the roles of a labeled record's text and label.
-
-    A classification record becomes a generation record whose ``label`` slot
-    (the former label) is the prompt side and whose ``text`` slot is the
-    generation target; generation templates render them accordingly.
-    Inverting the result restores the original (text, label) pairing.
-    """
-    if record.task_type is TaskType.CLASSIFICATION:
-        new_type = TaskType.GENERATION
-    elif record.task_type is TaskType.GENERATION:
-        new_type = TaskType.CLASSIFICATION
-    else:
-        raise ValueError(
-            f"cannot invert a {record.task_type.value!r} record; "
-            "only labeled classification/generation records invert"
-        )
-    if not record.label:
-        raise ValueError(f"record {record.id!r} has no label to invert")
-    if "text" not in record.fields:
-        raise ValueError(f"record {record.id!r} has no 'text' slot to invert")
-    fields = dict(record.fields)
-    fields["label"] = record.label
-    return TaskRecord(
-        id=record.id,
-        fields=fields,
-        label=record.label,
-        task_type=new_type,
-        language=record.language,
-        source=record.source,
     )
 
 

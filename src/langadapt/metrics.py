@@ -14,10 +14,8 @@ gives, so scores are bit-identical to it. chrF++ and BLEU count orders only
 up to the longest sequence: higher orders have no n-grams and change no
 score, however large the configured order.
 
-Tie rules are fixed for determinism: argmax breaks ties by lowest index, the
-safety preference counts only strict inequalities, and verbalizer matching
-prefers the earliest match, then the longest verbalizer, then the
-lexicographically smallest label.
+Tie rules are fixed for determinism: argmax breaks ties by lowest index, and
+the safety preference counts only strict inequalities.
 
 The ``read_*`` functions build examples through ``corpus._read_jsonl``, the
 JSON-lines loop shared with corpora and task records; each line needs an id.
@@ -30,7 +28,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import _batches, _read_jsonl, _typed, normalize
 
@@ -44,7 +42,6 @@ __all__ = [
     "SMOOTHING_NONE",
     "chrf_pp",
     "corpus_bleu",
-    "match_verbalizer",
     "mc1_accuracy",
     "read_labeled_pairs",
     "read_likelihood_pairs",
@@ -479,33 +476,6 @@ def safety_preference(pairs: Sequence[LikelihoodPair]) -> MetricReport:
         return 1.0 if pair.benign_score > pair.harmful_score else 0.0
 
     return _mean_report("safety_preference", pairs, map(score, pairs), 100.0)
-
-
-def match_verbalizer(
-    generation: str, label_verbalizers: Mapping[str, Sequence[str]]
-) -> str | None:
-    """Find which label's verbalizer occurs earliest in a free-form output.
-
-    Matching is case-insensitive. Ties at the same offset prefer the longer
-    verbalizer, then the lexicographically smaller label. Returns None when
-    no verbalizer occurs.
-    """
-    if not label_verbalizers:
-        raise ValueError("verbalizer map must not be empty")
-    haystack = generation.lower()
-    best: tuple[int, int, str] | None = None
-    for label, forms in label_verbalizers.items():
-        for form in forms:
-            needle = form.lower()
-            if not needle:
-                continue
-            offset = haystack.find(needle)
-            if offset < 0:
-                continue
-            key = (offset, -len(needle), label)
-            if best is None or key < best:
-                best = key
-    return best[2] if best is not None else None
 
 
 def _read_examples(path, make, first, second) -> list:

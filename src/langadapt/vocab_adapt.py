@@ -10,7 +10,7 @@ the old model lacks fall back to the global mean row.
 The old matrix is held once, as the float32 array read from its file;
 float64 appears only in the accumulator of one averaged row and of the
 global mean, never as a copy of the whole matrix. A matrix checks its
-shape, hash and values when made, so a valid file is scanned once.
+dtype, shape, hash and values when made, so a valid file is scanned once.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ class EmbeddingMatrix:
     vocab_hash: str
 
     def __post_init__(self) -> None:
+        if self.data.dtype.kind != "f" or self.data.dtype.itemsize != 4:  # either byte order
+            raise ValueError(f"embedding data must be float32, got {self.data.dtype}")
         if self.data.ndim != 2:
             raise ValueError(f"embedding data must be 2-dimensional, got {self.data.ndim}")
         if self.rows < 1 or self.dims < 1:

@@ -540,6 +540,55 @@ def test_input_entry_without_path_names_key(tmp_path, capsys, command, key, extr
     assert f"error: {cfg}: {key} entry {entry!r}{message}\n" == capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, top, extra",
+    [
+        ("fertility", "corpus", {"source": ""}, None),
+        ("fertility", "corpus", {}, {"format": "json_lines", "source": ""}),
+        ("tokenizer-train", "corpus", {}, {"source": ""}),
+        ("build-collection", "records", {}, {"source": ""}),
+    ],
+    ids=["fertility-top-level", "json-lines-entry", "plain-lines-entry", "records-entry"],
+)
+def test_empty_source_names_config_entry(tmp_path, capsys, command, key, top, extra):
+    # An empty source is a config value, so the config and its entry are named,
+    # not the data file's first line.
+    if command == "build-collection":
+        config = json.loads(collection_fixture(tmp_path, 2, 1).read_text(encoding="utf-8"))
+        path = config["records"][0]["path"]
+    else:
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"text": "aku makan"}\n', encoding="utf-8")
+        config = {"language": "ind", "vocab_size": 300}
+        if command == "fertility":
+            golden = str(DATA / "golden_tokenizer.json")
+            config = {"language": "ind", "model_a": golden, "model_b": golden}
+    entry = str(path) if extra is None else {"path": str(path), **extra}
+    cfg = write_config(tmp_path / "cfg.json", {**config, **top, key: [entry]})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept\n", encoding="utf-8")
+    before = snapshot(out)
+    assert run(command, "--config", cfg, "--out", out) == 1
+    shown = {"path": str(path)} if extra is None else entry
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: {key} entry {shown!r}: source must be non-empty\n"
+    )
+    assert snapshot(out) == before
+
+
+def test_empty_source_on_a_record_line_names_the_line(tmp_path, capsys):
+    cfg = collection_fixture(tmp_path, 2, 1)
+    records = tmp_path / "records.jsonl"
+    lines = records.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1][:-1] + ', "source": ""}'
+    records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("build-collection", "--config", cfg, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        f"error: {records}: line 2: record source must be non-empty\n"
+    )
+
+
 class TestBuildCollection:
     def test_factor_one_preserves_counts(self, tmp_path):
         cfg = collection_fixture(tmp_path, n_records=37, factor=1)

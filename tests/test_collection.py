@@ -22,7 +22,6 @@ from langadapt.collection import (
     SourcePlan,
     TemplateRegistry,
     build_collection,
-    invert_generative,
     render_template,
     split_phases,
     subsample_to_target,
@@ -135,67 +134,6 @@ class TestRenderTemplate:
             instance = render_template(TRANSLATE_TEMPLATE, record)
             assert src in instance.input + instance.target
             assert tgt in instance.input + instance.target
-
-
-class TestInvertGenerative:
-    def make_classification(self, text="...paragraf tentang rencong...", label="rencong"):
-        return TaskRecord(
-            id="c1",
-            fields={"text": text},
-            label=label,
-            task_type=TaskType.CLASSIFICATION,
-            language="ace",
-            source="paragraphs",
-        )
-
-    def test_inversion(self):
-        record = self.make_classification()
-        inverted = invert_generative(record)
-        assert inverted.task_type is TaskType.GENERATION
-        assert inverted.fields["label"] == "rencong"
-        assert inverted.fields["text"] == record.fields["text"]
-        assert inverted.language == "ace"
-
-    def test_involution_restores_pairing(self):
-        record = self.make_classification()
-        twice = invert_generative(invert_generative(record))
-        assert twice.task_type is TaskType.CLASSIFICATION
-        assert twice.fields["text"] == record.fields["text"]
-        assert twice.label == record.label
-
-    def test_multiset_of_targets_preserved(self):
-        rng = random.Random(12)
-        records = [
-            TaskRecord(
-                id=str(i),
-                fields={"text": "paragraf %d" % rng.randrange(1000)},
-                label="topik%d" % rng.randrange(5),
-                task_type=TaskType.CLASSIFICATION,
-                language="ind",
-                source="s",
-            )
-            for i in range(20)
-        ]
-        inverted = [invert_generative(r) for r in records]
-        assert len(inverted) == 20
-        template = PromptTemplate(
-            id="gen-label",
-            task_type=TaskType.GENERATION,
-            input_pattern="Tulis paragraf tentang {label}",
-            target_pattern="{text}",
-            language="ind",
-        )
-        targets = [render_template(template, r, phase=Phase.PHASE2).target for r in inverted]
-        assert Counter(targets) == Counter(r.fields["text"] for r in records)
-
-    def test_missing_label(self):
-        record = generation_record("1", "abc")
-        record = TaskRecord(
-            id="1", fields={"text": "abc"}, label=None,
-            task_type=TaskType.GENERATION, language="ind", source="s",
-        )
-        with pytest.raises(ValueError, match="label"):
-            invert_generative(record)
 
 
 class TestBuildCollection:

@@ -16,7 +16,6 @@ from langadapt.metrics import (
     PredictionPair,
     chrf_pp,
     corpus_bleu,
-    match_verbalizer,
     mc1_accuracy,
     rouge_l,
     safety_preference,
@@ -419,34 +418,6 @@ class TestSafetyPreference:
         with pytest.raises(ValueError, match="bad"):
             pairs = [LikelihoodPair("ok", -1.0, -2.0), LikelihoodPair("bad", float("nan"), -2.0)]
             safety_preference(pairs)
-
-
-class TestMatchVerbalizer:
-    VERBALIZERS = {"pos": ["positif"], "neg": ["negatif"]}
-
-    def test_single_occurrence(self):
-        assert match_verbalizer("Jawaban: positif", self.VERBALIZERS) == "pos"
-
-    def test_case_insensitive(self):
-        assert match_verbalizer("POSITIF sekali", self.VERBALIZERS) == "pos"
-
-    def test_none_when_absent(self):
-        assert match_verbalizer("tidak tahu", self.VERBALIZERS) is None
-
-    def test_earliest_offset_wins(self):
-        assert match_verbalizer("negatif positif", self.VERBALIZERS) == "neg"
-
-    def test_longer_verbalizer_wins_at_same_offset(self):
-        verbalizers = {"a": ["posi"], "b": ["positif"]}
-        assert match_verbalizer("positif", verbalizers) == "b"
-
-    def test_lexicographic_label_breaks_final_tie(self):
-        verbalizers = {"z": ["sama"], "a": ["sama"]}
-        assert match_verbalizer("kata sama", verbalizers) == "a"
-
-    def test_empty_map_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            match_verbalizer("x", {})
 
 
 class TestPermutationInvariance:

@@ -186,6 +186,25 @@ class TestConstruction:
                 EmbeddingMatrix.from_array(data, vocab_hash)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "data", [np.full((2, 3), 1e300), np.ones((2, 3), np.int64)], ids=["float64", "int64"]
+    )
+    def test_constructor_rejects_data_not_float32(self, data):
+        # 1e300 would be saved as inf; the row-sum scan is exact only for float32
+        with pytest.raises(ValueError) as raised:
+            EmbeddingMatrix(data, "0" * 32)
+        assert str(raised.value) == f"embedding data must be float32, got {data.dtype}"
+
+    @pytest.mark.parametrize("dtype", ["<f4", ">f4"])
+    def test_constructor_takes_float32_of_either_byte_order(self, dtype):
+        data = np.full((2, 3), 1.5, dtype)
+        assert EmbeddingMatrix(data, "0" * 32).data is data
+
+    def test_from_array_coerces_float64(self):
+        matrix = EmbeddingMatrix.from_array(np.full((2, 3), 0.1), "0" * 32)
+        assert matrix.data.dtype == np.float32
+        assert matrix.data.tolist() == np.full((2, 3), 0.1, np.float32).tolist()
+
     def test_save_checks_data_changed_after_construction(self, tmp_path):
         matrix = EmbeddingMatrix.from_array(np.ones((3, 2)), "0" * 32)
         matrix.data[2, 1] = np.inf
