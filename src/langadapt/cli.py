@@ -9,9 +9,9 @@ failed run leaves the output directory as it was, or without a manifest if
 renaming failed; a killed run may leave a stage directory, never a truncated
 artifact under its real name. Manifests embed the resolved config, input
 checksums, the seed, and the toolkit version, so identical configs and
-inputs produce identical output checksums. Input checksums are taken on one
-background thread while the command runs; each command names its inputs
-before it reads them.
+inputs produce identical output checksums. The manifest checksums every
+file the command's config keys name, on one background thread while the
+command runs.
 """
 
 from __future__ import annotations
@@ -29,8 +29,11 @@ from pathlib import Path
 
 from . import __version__, collection, corpus, metrics, tokenizer, vocab_adapt
 
-# Config keys map to the JSON type (a ``corpus._typed`` kind) they take.
+# Config keys map to the JSON type (a ``corpus._typed`` kind) they take. A
+# ``_PATH`` key names one input file and is a non-empty string; a ``_FILES``
+# key names input files as ``_input_files`` resolves them.
 _STR, _INT, _NUM, _FILES = "a string", "an integer", "a number", "a string or a list"
+_PATH = "a path"
 _GLOBAL_KEYS = {"seed": _INT, "threads": _INT, "out": _STR}
 # Keys of a ``corpus``/``records`` entry object, each a string; a ``corpus``
 # entry's keys but ``path`` may also be given once at the top level. Records
@@ -50,7 +53,7 @@ _SCORERS = {
     "mc1_accuracy": ("read_mc1_items", {}),
     "safety_preference": ("read_likelihood_pairs", {}),
 }
-_SCORE_INPUTS = {"metric": _STR, "predictions": _STR}
+_SCORE_INPUTS = {"metric": _STR, "predictions": _PATH}
 
 
 class ConfigError(ValueError):
@@ -62,39 +65,23 @@ def _sha256_file(path) -> str:
         return hashlib.file_digest(handle, "sha256").hexdigest()
 
 
-class _InputChecksums:
-    """The SHA-256 of each of a command's input files, taken on one background
-    thread while the command reads them.
+class _InputChecksums(threading.Thread):
+    """The SHA-256 of each input file, taken on this thread while the command
+    reads them. ``main`` always joins it and raises ``error`` only when the
+    command succeeded, so the command's own error wins."""
 
-    The handler passes its input paths to ``start`` before reading them.
-    ``main`` always calls ``join``, and ``digests`` raises the thread's error
-    only when the handler succeeded, so a handler's own error wins.
-    """
+    def __init__(self, paths: list[str]) -> None:
+        super().__init__()
+        self.paths = sorted(set(paths))
+        self.digests: dict[str, str] = {}
+        self.error: Exception | None = None
 
-    def __init__(self) -> None:
-        self._thread: threading.Thread | None = None
-        self._digests: dict[str, str] = {}
-        self._error: Exception | None = None
-
-    def start(self, paths: list[str]) -> None:
-        self._thread = threading.Thread(target=self._run, args=(sorted(set(paths)),))
-        self._thread.start()
-
-    def _run(self, paths: list[str]) -> None:
+    def run(self) -> None:
         try:
-            for path in paths:
-                self._digests[path] = _sha256_file(path)
-        except Exception as exc:  # raised again in the main thread by ``digests``
-            self._error = exc
-
-    def join(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-
-    def digests(self) -> dict[str, str]:
-        if self._error is not None:
-            raise self._error
-        return self._digests
+            for path in self.paths:
+                self.digests[path] = _sha256_file(path)
+        except Exception as exc:  # raised again in the main thread
+            self.error = exc
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -105,7 +92,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         kinds = _COMMANDS[args.command][2] | _GLOBAL_KEYS
         try:
             for key, value in corpus._object(config, kinds, f"{args.command} config").items():
-                corpus._typed(value, kinds[key], key)
+                kind = kinds[key]
+                corpus._typed(value, _STR if kind == _PATH else kind, key)
+                if kind == _PATH and not value:
+                    raise ValueError(f"{key} must be non-empty")
             if config.get("threads", 1) < 1:
                 raise ValueError("threads must be >= 1")
         except ValueError as exc:
@@ -133,15 +123,21 @@ def _combine(call, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"missing required config key {key!r}")
-    return config[key]
+def _command_inputs(command: str, config: dict) -> tuple[list[dict], list[str]]:
+    """The resolved entries of the command's ``_FILES`` key and the paths of every
+    input file its config names, once each required key is known present."""
+    _, _, kinds, required = _COMMANDS[command]
+    for key in required:
+        if key not in config:
+            raise ConfigError(f"missing required config key {key!r}")
+    files = [entry for key in kinds if kinds[key] == _FILES for entry in _input_files(config, key)]
+    paths = [config[key] for key in kinds if kinds[key] == _PATH]
+    return files, paths + [entry["path"] for entry in files]
 
 
 def _input_files(config: dict, key: str) -> list[dict]:
     """Normalize a ``path | [path | {path, ...}]`` entry to per-file dicts with defaults."""
-    entries = _require(config, key)
+    entries = config[key]
     if isinstance(entries, str):
         entries = [entries]
     files = []
@@ -154,6 +150,8 @@ def _input_files(config: dict, key: str) -> list[dict]:
             for field, value in corpus._object(entry, _ENTRY_KEYS[key], "entry").items():
                 corpus._typed(value, _STR, field)
             path = entry["path"]
+            if not path:
+                raise ValueError("path must be non-empty")
             resolved = {
                 "path": path,
                 "format": entry.get("format", config.get("format", corpus.PLAIN_LINES)),
@@ -225,20 +223,14 @@ def _publish(stage: Path, outdir: Path, manifest: dict) -> None:
         os.replace(stage / name, outdir / name)
 
 
-def _cmd_tokenizer_train(config: dict, out: Path, inputs) -> None:
-    vocab_size = _require(config, "vocab_size")
+def _cmd_tokenizer_train(config: dict, files: list[dict], out: Path) -> None:
     specials = config.get("special_tokens", list(tokenizer.REQUIRED_SPECIALS))
-    files = _input_files(config, "corpus")
-    inputs([entry["path"] for entry in files])
-    model = _combine(tokenizer.train_bpe, _ingest_all(files), vocab_size, specials)
+    model = _combine(tokenizer.train_bpe, _ingest_all(files), config["vocab_size"], specials)
     tokenizer.save_model(model, out / "tokenizer.json")
 
 
-def _cmd_fertility(config: dict, out: Path, inputs) -> None:
-    path_a = _require(config, "model_a")
-    path_b = _require(config, "model_b")
-    files = _input_files(config, "corpus")
-    inputs([path_a, path_b] + [entry["path"] for entry in files])
+def _cmd_fertility(config: dict, files: list[dict], out: Path) -> None:
+    path_a, path_b = config["model_a"], config["model_b"]
     model_a = tokenizer.load_model(path_a)
     model_b = tokenizer.load_model(path_b)
     words = tokenizer.count_words(_ingest_all(files))
@@ -261,33 +253,25 @@ def _cmd_fertility(config: dict, out: Path, inputs) -> None:
     )
 
 
-def _cmd_adapt(config: dict, out: Path, inputs) -> None:
-    old_model_path = _require(config, "old_model")
-    new_model_path = _require(config, "new_model")
-    old_emb_path = _require(config, "old_embeddings")
-    inputs([old_model_path, new_model_path, old_emb_path])
-    old_tok = tokenizer.load_model(old_model_path)
-    new_tok = tokenizer.load_model(new_model_path)
-    old_emb = vocab_adapt.load_embeddings(old_emb_path)
+def _cmd_adapt(config: dict, files: list[dict], out: Path) -> None:
+    old_tok = tokenizer.load_model(config["old_model"])
+    new_tok = tokenizer.load_model(config["new_model"])
+    old_emb = vocab_adapt.load_embeddings(config["old_embeddings"])
     new_emb, report = _combine(vocab_adapt.adapt_embeddings, old_tok, old_emb, new_tok)
     vocab_adapt.save_embeddings(new_emb, out / "embeddings.bin")
     _write_json(out / "adaptation.json", report.to_json_dict())
 
 
-def _cmd_build_collection(config: dict, out: Path, inputs) -> None:
-    templates_path = _require(config, "templates")
-    plan_path = _require(config, "plan")
-    record_files = _input_files(config, "records")
-    inputs([templates_path, plan_path] + [entry["path"] for entry in record_files])
-    registry = collection.TemplateRegistry.from_json_file(templates_path)
-    plan = collection.SamplingPlan.from_json_file(plan_path)
+def _cmd_build_collection(config: dict, files: list[dict], out: Path) -> None:
+    registry = collection.TemplateRegistry.from_json_file(config["templates"])
+    plan = collection.SamplingPlan.from_json_file(config["plan"])
 
     def read(entry):
         return corpus.read_task_records(
             entry["path"], language=entry["language"], source=entry["source"]
         )
 
-    records = list(_read_all(record_files, read, "record", check_all=True))
+    records = list(_read_all(files, read, "record", check_all=True))
     instances, per_source = _combine(collection.build_collection, registry, records, plan)
     targets = plan.target_totals or {}
     written = {}
@@ -305,9 +289,8 @@ def _cmd_build_collection(config: dict, out: Path, inputs) -> None:
     _write_json(out / "collection_manifest.json", manifest)
 
 
-def _cmd_score(config: dict, out: Path, inputs) -> None:
-    metric = _require(config, "metric")
-    predictions = _require(config, "predictions")
+def _cmd_score(config: dict, files: list[dict], out: Path) -> None:
+    metric = config["metric"]
     if metric not in _SCORERS:
         raise ConfigError(f"unknown metric {metric!r}")
     reader, option_kinds = _SCORERS[metric]
@@ -315,39 +298,46 @@ def _cmd_score(config: dict, out: Path, inputs) -> None:
     if rejected:
         raise ConfigError(f"metric {metric} does not take options {sorted(rejected)}")
     options = {key: config[key] for key in option_kinds if key in config}
-    inputs([predictions])
-    examples = getattr(metrics, reader)(predictions)
+    examples = getattr(metrics, reader)(config["predictions"])
     report = _combine(getattr(metrics, metric), examples, **options)
     _write_json(out / "report.json", report.to_json_dict())
 
 
-# command -> (handler, help text, {config key: kind} besides the global keys)
+# command -> (handler, help text, {config key: kind} besides the global keys,
+# required keys in the order they are checked). ``main`` checks and resolves
+# the input files; ``handler(config, files, out)`` gets the resolved entries
+# of its ``_FILES`` key, if any, and writes its artifacts into ``out``.
 _COMMANDS = {
     "tokenizer-train": (
         _cmd_tokenizer_train,
         "train a byte-level BPE vocabulary from corpus files",
         _CORPUS_KEYS | {"vocab_size": _INT, "special_tokens": "a list of strings"},
+        ("vocab_size", "corpus"),
     ),
     "fertility": (
         _cmd_fertility,
         "compare token efficiency of two tokenizers on one corpus",
-        _CORPUS_KEYS | {"model_a": _STR, "model_b": _STR},
+        _CORPUS_KEYS | {"model_a": _PATH, "model_b": _PATH},
+        ("model_a", "model_b", "corpus"),
     ),
     "adapt": (
         _cmd_adapt,
         "remap an embedding matrix onto a new vocabulary",
-        dict.fromkeys(("old_model", "new_model", "old_embeddings"), _STR),
+        dict.fromkeys(("old_model", "new_model", "old_embeddings"), _PATH),
+        ("old_model", "new_model", "old_embeddings"),
     ),
     "build-collection": (
         _cmd_build_collection,
         "compile an instruction corpus from records and templates",
-        {"templates": _STR, "records": _FILES, "plan": _STR, "language": _STR},
+        {"templates": _PATH, "records": _FILES, "plan": _PATH, "language": _STR},
+        ("templates", "plan", "records"),
     ),
     "score": (
         _cmd_score,
         "score a predictions file with one metric",
         _SCORE_INPUTS
         | {key: kind for _, options in _SCORERS.values() for key, kind in options.items()},
+        ("metric", "predictions"),
     ),
 }
 
@@ -359,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, _) in _COMMANDS.items():
+    for command, (_, help_text, _, _) in _COMMANDS.items():
         sub = subparsers.add_parser(command, help=help_text)
         sub.add_argument("--config", type=Path, help="JSON config file")
         sub.add_argument("--seed", type=int, help="seed recorded in the manifest")
@@ -379,20 +369,24 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         config["out"] = str(outdir)
         stage = Path(tempfile.mkdtemp(prefix=".stage-", dir=outdir))
-        handler, _, _ = _COMMANDS[args.command]
-        checksums = _InputChecksums()
         try:
-            handler(config, stage, checksums.start)
-        except ConfigError as exc:  # a handler's ConfigError is about a config value
+            files, paths = _command_inputs(args.command, config)
+            checksums = _InputChecksums(paths)
+            checksums.start()
+            try:
+                _COMMANDS[args.command][0](config, files, stage)
+            finally:
+                checksums.join()
+        except ConfigError as exc:  # a ConfigError here is about a config value
             raise ConfigError(f"{args.config}: {exc}") if args.config else exc
-        finally:
-            checksums.join()
+        if checksums.error is not None:
+            raise checksums.error
         manifest = {
             "command": args.command,
             "version": __version__,
             "seed": config["seed"],
             "config": {key: config[key] for key in sorted(config)},
-            "inputs": checksums.digests(),
+            "inputs": checksums.digests,
         }
         _publish(stage, outdir, manifest)
     except Exception as exc:  # distilled to an exit code

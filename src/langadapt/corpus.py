@@ -278,8 +278,8 @@ def _read_jsonl(
     it to the 0-based line number and are unique by (source, id) among those
     kept (``make`` returns ``None`` to skip one); model outputs need an id,
     unique on its own and checked before ``make``. ``stats`` counts as in
-    :func:`ingest`. Errors, a ``KeyError`` from ``make`` included, raise
-    :class:`IngestError` naming the file and line.
+    :func:`ingest`. Errors raise :class:`IngestError` naming the file and
+    line; a ``KeyError`` from ``make`` reads ``missing key '<key>'``.
     """
     # Ids by source (None for model outputs): (source, id) tuples took 1.4x the memory.
     seen: defaultdict[str | None, set[str]] = defaultdict(set)
@@ -321,7 +321,9 @@ def _read_jsonl(
             raise IngestError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
         except RecursionError as exc:
             raise IngestError(f"{path}: line {lineno}: invalid JSON: nested too deeply") from exc
-        except (KeyError, ValueError) as exc:
+        except KeyError as exc:
+            raise IngestError(f"{path}: line {lineno}: missing key {exc}") from exc
+        except ValueError as exc:
             raise IngestError(f"{path}: line {lineno}: {exc}") from exc
         stats.documents += 1
         yield item

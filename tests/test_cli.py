@@ -589,6 +589,122 @@ def test_empty_source_on_a_record_line_names_the_line(tmp_path, capsys):
     )
 
 
+def command_configs(tmp_path):
+    """command -> (a config payload it runs, the input files that config names)."""
+    words, docs = tmp_path / "words.txt", tmp_path / "docs.jsonl"
+    words.write_text("aku makan nasi goreng\nnasi nasi makan aku\n", encoding="utf-8")
+    docs.write_text('{"text": "aku makan"}\n', encoding="utf-8")
+    model = tokenizer.train_bpe(corpus.ingest(words, language="ind", source="w"), 266)
+    model_path, golden = tmp_path / "tok.json", DATA / "golden_tokenizer.json"
+    tokenizer.save_model(model, model_path)
+    rows = np.random.default_rng(3).standard_normal((model.piece_count, 4), dtype=np.float32)
+    emb = tmp_path / "emb.bin"
+    vocab_adapt.save_embeddings(
+        vocab_adapt.EmbeddingMatrix.from_array(rows, tokenizer.model_hash(model)), emb
+    )
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text('{"id": "1", "hypothesis": "aku", "references": ["aku"]}\n', encoding="utf-8")
+    build = json.loads(collection_fixture(tmp_path, 2, 1).read_text(encoding="utf-8"))
+    corpus_entries = [str(words), {"path": str(docs), "format": "json_lines", "source": "d"}]
+    return {
+        "tokenizer-train": (
+            {"corpus": corpus_entries, "language": "ind", "vocab_size": 270}, [words, docs]
+        ),
+        "fertility": (
+            {"model_a": str(model_path), "model_b": str(golden), "corpus": str(words),
+             "language": "ind"},
+            [model_path, golden, words],
+        ),
+        "adapt": (
+            {"old_model": str(model_path), "new_model": str(golden), "old_embeddings": str(emb)},
+            [model_path, golden, emb],
+        ),
+        "build-collection": (
+            build, [tmp_path / name for name in ("templates.json", "plan.json", "records.jsonl")]
+        ),
+        "score": ({"metric": "rouge_l", "predictions": str(preds)}, [preds]),
+    }
+
+
+def failed_run_keeps_out(tmp_path, command, config):
+    """Run ``command`` on ``config``; it must fail and keep ``--out``. Return the config file."""
+    cfg = write_config(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept\n", encoding="utf-8")
+    before = snapshot(out)
+    assert run(command, "--config", cfg, "--out", out) == 1
+    assert snapshot(out) == before
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command", ["tokenizer-train", "fertility", "adapt", "build-collection", "score"]
+)
+def test_manifest_lists_exactly_the_files_the_config_names(tmp_path, command):
+    config, paths = command_configs(tmp_path)[command]
+    cfg, out = write_config(tmp_path / "cfg.json", config), tmp_path / "out"
+    assert run(command, "--config", cfg, "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {str(path): sha256(path) for path in paths}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("tokenizer-train", "vocab_size"),
+        ("tokenizer-train", "corpus"),
+        ("fertility", "model_a"),
+        ("fertility", "model_b"),
+        ("fertility", "corpus"),
+        ("adapt", "old_model"),
+        ("adapt", "new_model"),
+        ("adapt", "old_embeddings"),
+        ("build-collection", "templates"),
+        ("build-collection", "plan"),
+        ("build-collection", "records"),
+        ("score", "metric"),
+        ("score", "predictions"),
+    ],
+)
+def test_missing_required_key_names_config(tmp_path, capsys, command, key):
+    config, _ = command_configs(tmp_path)[command]
+    del config[key]
+    cfg = failed_run_keeps_out(tmp_path, command, config)
+    assert capsys.readouterr().err == f"error: {cfg}: missing required config key {key!r}\n"
+
+
+@pytest.mark.parametrize(
+    "command, key, value, entry",
+    [
+        ("fertility", "model_a", "", None),
+        ("fertility", "model_b", "", None),
+        ("adapt", "old_model", "", None),
+        ("adapt", "new_model", "", None),
+        ("adapt", "old_embeddings", "", None),
+        ("build-collection", "templates", "", None),
+        ("build-collection", "plan", "", None),
+        ("score", "predictions", "", None),
+        ("tokenizer-train", "corpus", "", {"path": ""}),
+        ("fertility", "corpus", [{"path": "", "source": "x"}], {"path": "", "source": "x"}),
+        ("build-collection", "records", [""], {"path": ""}),
+        ("build-collection", "records", [{"path": "", "language": "ind"}],
+         {"path": "", "language": "ind"}),
+    ],
+    ids=[
+        "model_a", "model_b", "old_model", "new_model", "old_embeddings", "templates", "plan",
+        "predictions", "corpus-string", "corpus-entry", "records-string", "records-entry",
+    ],
+)
+def test_empty_input_path_names_config_and_key(tmp_path, capsys, command, key, value, entry):
+    # The empty path is a config value: the config and its key (and entry) are
+    # named, not a file the command failed to open.
+    config, _ = command_configs(tmp_path)[command]
+    cfg = failed_run_keeps_out(tmp_path, command, {**config, key: value})
+    named = key if entry is None else f"{key} entry {entry!r}: path"
+    assert capsys.readouterr().err == f"error: {cfg}: {named} must be non-empty\n"
+
+
 class TestBuildCollection:
     def test_factor_one_preserves_counts(self, tmp_path):
         cfg = collection_fixture(tmp_path, n_records=37, factor=1)

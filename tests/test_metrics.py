@@ -474,7 +474,8 @@ def malformed_records():
             (reader, "non-object", ["a"], "must be an object"),
             (reader, "missing-id", {k: v for k, v in other.items() if k != "id"}, "no 'id'"),
             (reader, "duplicate-id", valid, "duplicate id"),
-            (reader, "missing-field", {k: v for k, v in other.items() if k != last}, repr(last)),
+            (reader, "missing-field", {k: v for k, v in other.items() if k != last},
+             f"missing key {last!r}"),
         ]
     for reader, case, change, message in (
         ("read_prediction_pairs", "non-list", {"references": "a"}, "must be a list"),
