@@ -292,7 +292,11 @@ def _read_jsonl(
             stats.skipped_empty += 1
             continue
         try:
-            record = _JSON.decode(payload)
+            # The payload is already stripped: raw_decode skips the two
+            # whitespace scans of decode, so trailing data is checked here.
+            record, end = _JSON.raw_decode(payload)
+            if end != len(payload):
+                raise json.JSONDecodeError("Extra data", payload, end)
             if not isinstance(record, dict):
                 raise ValueError("record must be an object")
             if "id" in record:

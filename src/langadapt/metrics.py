@@ -6,13 +6,16 @@ translation-style generation, ROUGE-L for summarization, multiple-choice
 preference rate. All aggregates use exact summation (math.fsum), so scores
 are invariant under any permutation of the examples.
 
-chrF++ counts n-grams with numpy arrays over consecutive batches of pairs
-of at most 8 192 characters, so its memory follows one batch, not the
-input. Within a batch every n-gram has an exact dense rank, with no width
-limit, and the matched counts are the integers a count of string slices
-gives, so scores are bit-identical to it. chrF++ and BLEU count orders only
-up to the longest sequence: higher orders have no n-grams and change no
-score, however large the configured order.
+chrF++ and BLEU count n-grams with numpy arrays over consecutive batches of
+pairs of at most 8 192 characters, so their memory follows one batch, not
+the input. One ranking pass gives every n-gram of a batch an exact dense
+rank, with no width limit; chrF++ and BLEU each reduce its runs to the
+integers a count of string slices or word tuples gives, so scores are
+bit-identical to it (``tests/oracles.py``: ``counter_chrf_pp``,
+``counter_bleu``). BLEU keeps integer statistics per pair and combines
+their sums in one step. chrF++ and BLEU count orders only up to the longest
+sequence: higher orders have no n-grams and change no score, however large
+the configured order.
 
 Tie rules are fixed for determinism: argmax breaks ties by lowest index, and
 the safety preference counts only strict inequalities.
@@ -192,10 +195,6 @@ def weighted_f1(pairs: Sequence[LabeledPair]) -> MetricReport:
     return MetricReport("weighted_f1", 100.0 * math.fsum(terms), n, per_example)
 
 
-def _ngram_counts(seq: Sequence, n: int) -> Counter:
-    return Counter([seq[i : i + n] for i in range(len(seq) - n + 1)])
-
-
 def _check_beta(beta: float) -> None:
     # F-beta weighs by beta squared, which a float holds exactly when |beta| is
     # at most this bound (NaN is not); otherwise every score is NaN.
@@ -221,14 +220,14 @@ def _chrf_cost(pair: PredictionPair) -> int:
     return len(pair.hypothesis) + 1 + sum(len(ref) + 1 for ref in pair.references)
 
 
-def _matched_counts(codes, lengths, hyp_of, orders: int) -> list[list[int]]:
-    """Per order 1..orders, each text's n-grams matched against its hypothesis.
+def _ngram_runs(codes, lengths, orders: int):
+    """Per order 1..orders, every run of one n-gram in one text, n-gram by n-gram.
 
-    ``codes`` holds the texts' symbols back to back (int64), ``lengths`` each
-    text's length and ``hyp_of[t]`` the text index of the hypothesis that text
-    ``t`` is scored against. The count for a reference is the sum over its
-    n-grams of min(count in it, count in the hypothesis); a hypothesis
-    matches itself in full.
+    ``codes`` holds the texts' symbols back to back (int64) and ``lengths``
+    each text's length. Each order yields ``(run_text, new, rank, counts)``:
+    the text of each run, whether the run starts a new n-gram, the n-gram's
+    dense rank, and how often the n-gram occurs in that text. Within one
+    n-gram the runs go by text index.
     """
     import numpy as np  # not at the top: see _chrf_scores
 
@@ -236,7 +235,6 @@ def _matched_counts(codes, lengths, hyp_of, orders: int) -> list[list[int]]:
     text = np.repeat(np.arange(texts), lengths)
     # Symbols left in the text from each position on, that one included.
     left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))
-    is_hyp = hyp_of == np.arange(texts)
     # Each distinct (symbol, text) gets a number, in symbol-major order. An
     # n-gram's key is its (n-1)-gram's dense rank, then the number of its last
     # symbol, which also names its text: so the sorted keys run n-gram by
@@ -246,7 +244,6 @@ def _matched_counts(codes, lengths, hyp_of, orders: int) -> list[list[int]]:
     tail_symbol = np.cumsum(np.concatenate(([False], symbol[1:] != symbol[:-1])))
     width = len(numbers)
     pos = np.arange(len(codes))
-    matched = []
     for n in range(1, orders + 1):
         if n == 1:
             keys, inverse, counts = np.arange(width), tail, np.bincount(tail, minlength=width)
@@ -258,14 +255,30 @@ def _matched_counts(codes, lengths, hyp_of, orders: int) -> list[list[int]]:
             )
         prefix, last = np.divmod(keys, width)
         run_text, last = tail_text[last], tail_symbol[last]
-        rank = np.cumsum(
-            np.concatenate(([False], (prefix[1:] != prefix[:-1]) | (last[1:] != last[:-1])))
-        )
+        new = np.concatenate(([True], (prefix[1:] != prefix[:-1]) | (last[1:] != last[:-1])))
+        rank = np.cumsum(new)
         gram = rank[inverse]
+        yield run_text, new, rank, counts
+
+
+def _matched_counts(codes, lengths, hyp_of, orders: int) -> list[list[int]]:
+    """Per order 1..orders, each text's n-grams matched against its hypothesis.
+
+    ``hyp_of[t]`` is the text index of the hypothesis that text ``t`` is
+    scored against. The count for a reference is the sum over its n-grams of
+    min(count in it, count in the hypothesis); a hypothesis matches itself in
+    full.
+    """
+    import numpy as np
+
+    texts = len(lengths)
+    is_hyp = hyp_of == np.arange(texts)
+    matched = []
+    for run_text, _, rank, counts in _ngram_runs(codes, lengths, orders):
         # The nearest hypothesis run at or before each run holds the run's
         # n-gram in the run's own hypothesis exactly when its rank matches and
         # its text is that hypothesis.
-        prev = np.maximum.accumulate(np.where(is_hyp[run_text], np.arange(len(keys)), -1))
+        prev = np.maximum.accumulate(np.where(is_hyp[run_text], np.arange(len(rank)), -1))
         hit = (prev >= 0) & (rank[prev] == rank) & (run_text[prev] == hyp_of[run_text])
         both = np.minimum(counts, counts[prev])[hit]
         # bincount sums its weights as floats, exact for counts below 2**53.
@@ -353,6 +366,90 @@ def chrf_pp(
     return _mean_report("chrf_pp", pairs, _chrf_scores(pairs, char_order, word_order, beta))
 
 
+def _bleu_stats(pairs: Sequence[PredictionPair], max_order: int):
+    """Per pair: clipped matches and hypothesis n-grams for each order, the
+    hypothesis length, and the reference length closest to it (ties to the
+    shorter), as int64 arrays ``(matched, totals, hyp_len, ref_len)``.
+
+    ``matched`` and ``totals`` have one column per order up to the longest
+    hypothesis, at most ``max_order``: higher orders have no n-grams. A
+    match counts an n-gram at most as often as the one reference that holds
+    it most often.
+    """
+    import numpy as np  # not at the top: see _chrf_scores
+
+    parts = []
+    hyp_lens: list[int] = []
+    ref_lens: list[int] = []
+    for batch in _batches(pairs, _chrf_cost, _CHRF_BATCH_CHARS):
+        # Each pair's hypothesis, then its references.
+        words: list[str] = []
+        lengths: list[int] = []
+        pair_index: list[int] = []
+        for i, pair in enumerate(batch):
+            texts = [normalize(text).split() for text in (pair.hypothesis, *pair.references)]
+            sizes = list(map(len, texts))
+            hyp_lens.append(sizes[0])
+            ref_lens.append(min((abs(size - sizes[0]), size) for size in sizes[1:])[1])
+            for text in texts:
+                words += text
+            lengths += sizes
+            pair_index += [i] * len(texts)
+        # A word's code is the position of its first occurrence in the batch,
+        # times the pair count, plus its pair. So n-grams of different pairs
+        # never rank alike, and the runs of one n-gram are its pair's
+        # hypothesis, if that holds it, then its references.
+        vocab: dict[str, int] = {}
+        ids = np.fromiter(map(vocab.setdefault, words, range(len(words))), np.int64, len(words))
+        pair_of, lengths = np.array(pair_index), np.array(lengths)
+        codes = ids * len(batch) + np.repeat(pair_of, lengths)
+        is_hyp = np.concatenate(([True], pair_of[1:] != pair_of[:-1]))
+        orders = min(max_order, max(hyp_lens[-len(batch) :]))
+        matched = np.zeros((len(batch), orders), np.int64)
+        for n, (run_text, new, _, counts) in enumerate(_ngram_runs(codes, lengths, orders)):
+            run_hyp, starts = is_hyp[run_text], np.flatnonzero(new)
+            clipped = np.minimum(
+                np.add.reduceat(np.where(run_hyp, counts, 0), starts),
+                np.maximum.reduceat(np.where(run_hyp, 0, counts), starts),
+            )
+            # bincount sums its weights as floats, exact for counts below 2**53.
+            matched[:, n] = np.bincount(pair_of[run_text[starts]], clipped, len(batch))
+        parts.append(matched)
+    orders = max(part.shape[1] for part in parts)
+    matched = np.zeros((len(hyp_lens), orders), np.int64)
+    row = 0
+    for part in parts:
+        matched[row : row + len(part), : part.shape[1]] = part
+        row += len(part)
+    hyp_len = np.array(hyp_lens, np.int64)
+    totals = np.maximum(hyp_len[:, None] - np.arange(orders), 0)
+    return matched, totals, hyp_len, np.array(ref_lens, np.int64)
+
+
+def _bleu_score(
+    matches: Sequence[int], totals: Sequence[int], hyp_len: int, ref_len: int, smoothing: str
+) -> float:
+    """Corpus BLEU from summed statistics; orders with no hypothesis n-grams are skipped."""
+    if hyp_len == 0:
+        return 0.0
+    # Orders longer than every hypothesis carry no evidence and are excluded
+    # from the geometric mean; order 1 always contributes when hyp_len > 0.
+    log_terms = []
+    for matched, total in zip(matches, totals):
+        if total == 0:
+            continue
+        if matched == 0 and smoothing == SMOOTHING_ADD_EPS_EXP:
+            precision = 1.0 / (2.0 * total)
+        else:
+            precision = matched / total
+        if precision == 0.0:
+            return 0.0
+        log_terms.append(math.log(precision))
+    geo_mean = math.exp(math.fsum(log_terms) / len(log_terms))
+    penalty = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * penalty * geo_mean
+
+
 def corpus_bleu(
     pairs: Sequence[PredictionPair],
     max_order: int = 4,
@@ -372,43 +469,16 @@ def corpus_bleu(
         raise ValueError("max_order must be >= 1")
     if smoothing not in (SMOOTHING_NONE, SMOOTHING_ADD_EPS_EXP):
         raise ValueError(f"unknown smoothing {smoothing!r}")
-    matches: Counter[int] = Counter()
-    totals: Counter[int] = Counter()
-    hyp_len = 0
-    ref_len = 0
-    for pair in pairs:
-        hyp_tokens = tuple(normalize(pair.hypothesis).split())
-        ref_token_lists = [tuple(normalize(r).split()) for r in pair.references]
-        hyp_len += len(hyp_tokens)
-        ref_len += min(
-            (abs(len(ref) - len(hyp_tokens)), len(ref)) for ref in ref_token_lists
-        )[1]
-        # Orders beyond the hypothesis have no n-grams and are never counted.
-        for n in range(1, min(max_order, len(hyp_tokens)) + 1):
-            hyp_grams = _ngram_counts(hyp_tokens, n)
-            totals[n] += sum(hyp_grams.values())
-            ref_gram_lists = [_ngram_counts(ref, n) for ref in ref_token_lists]
-            matches[n] += sum(
-                min(count, max(ref.get(gram, 0) for ref in ref_gram_lists))
-                for gram, count in hyp_grams.items()
-            )
-    if hyp_len == 0:
-        return MetricReport("corpus_bleu", 0.0, len(pairs))
-    # Orders longer than every hypothesis carry no evidence and are excluded
-    # from the geometric mean; order 1 always contributes when hyp_len > 0.
-    log_terms = []
-    for n, total in totals.items():
-        matched = matches[n]
-        if matched == 0 and smoothing == SMOOTHING_ADD_EPS_EXP:
-            precision = 1.0 / (2.0 * total)
-        else:
-            precision = matched / total
-        if precision == 0.0:
-            return MetricReport("corpus_bleu", 0.0, len(pairs))
-        log_terms.append(math.log(precision))
-    geo_mean = math.exp(math.fsum(log_terms) / len(log_terms))
-    penalty = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return MetricReport("corpus_bleu", 100.0 * penalty * geo_mean, len(pairs))
+    matched, totals, hyp_len, ref_len = _bleu_stats(pairs, max_order)
+    # Python ints, so that each ratio is the correctly rounded quotient.
+    score = _bleu_score(
+        matched.sum(axis=0).tolist(),
+        totals.sum(axis=0).tolist(),
+        int(hyp_len.sum()),
+        int(ref_len.sum()),
+        smoothing,
+    )
+    return MetricReport("corpus_bleu", score, len(pairs))
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:

@@ -58,7 +58,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .corpus import CorpusDocument, _batches, _load_json, _typed
+from .corpus import CorpusDocument, _batches, _encodable, _load_json, _typed
 
 __all__ = [
     "FertilityReport",
@@ -177,6 +177,8 @@ def train_bpe(
     names = list(special_names)
     if len(set(names)) != len(names):
         raise ValueError("special token names must be unique")
+    for name in names:
+        _encodable(name, f"special token {name!r}")
     for required in REQUIRED_SPECIALS:
         if required not in names:
             raise ValueError(f"special token {required!r} is required")

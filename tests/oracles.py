@@ -4,7 +4,8 @@ These are deliberately slow, direct transcriptions of the documented
 behavior: the BPE trainer rescans every word each iteration, the encoder
 replays merges one by one over the whole sequence, the collection oracle
 builds one instance per copy, and the metric oracles count n-grams with
-plain loops or, for ``counter_chrf_pp``, one ``Counter`` per order and text.
+plain loops or, for ``counter_chrf_pp`` and ``counter_bleu``, one ``Counter``
+per order and text.
 The model file oracle puts the whole payload through ``json.dumps``.
 None of them share code with the library paths they check.
 """
@@ -15,6 +16,7 @@ import base64
 import hashlib
 import json
 import math
+import unicodedata
 from collections import Counter
 
 
@@ -210,6 +212,58 @@ def counter_chrf_pp(pairs, char_order=6, word_order=2, beta=2.0) -> dict[str, fl
             for ref in pair.references
         )
     return scores
+
+
+def counter_bleu(pairs, max_order=4, smoothing="add_eps_exp"):
+    """Corpus BLEU with one ``Counter`` of word tuples per order and text.
+
+    Returns ``(stats, aggregate)``. ``stats`` holds, per pair, the clipped
+    matches and the hypothesis n-grams of each order up to the hypothesis
+    length (at most ``max_order``), the hypothesis length and the reference
+    length closest to it (ties to the shorter). The aggregate does the
+    library's floating-point arithmetic step for step, so it must equal the
+    library's exactly.
+    """
+    stats = []
+    for pair in pairs:
+        hyp = tuple(unicodedata.normalize("NFC", pair.hypothesis).split())
+        refs = [tuple(unicodedata.normalize("NFC", ref).split()) for ref in pair.references]
+        matched = []
+        totals = []
+        for n in range(1, min(max_order, len(hyp)) + 1):
+            hyp_grams = _counter_ngrams(hyp, n)
+            ref_grams = [_counter_ngrams(ref, n) for ref in refs]
+            totals.append(sum(hyp_grams.values()))
+            matched.append(
+                sum(
+                    min(count, max(grams[gram] for grams in ref_grams))
+                    for gram, count in hyp_grams.items()
+                )
+            )
+        ref_len = min((abs(len(ref) - len(hyp)), len(ref)) for ref in refs)[1]
+        stats.append((matched, totals, len(hyp), ref_len))
+    hyp_len = sum(entry[2] for entry in stats)
+    ref_len = sum(entry[3] for entry in stats)
+    if hyp_len == 0:
+        return stats, 0.0
+    matches: Counter = Counter()
+    totals: Counter = Counter()
+    for matched, order_totals, _, _ in stats:
+        for n, (count, total) in enumerate(zip(matched, order_totals), 1):
+            matches[n] += count
+            totals[n] += total
+    log_terms = []
+    for n, total in totals.items():
+        if matches[n] == 0 and smoothing == "add_eps_exp":
+            precision = 1.0 / (2.0 * total)
+        else:
+            precision = matches[n] / total
+        if precision == 0.0:
+            return stats, 0.0
+        log_terms.append(math.log(precision))
+    geo_mean = math.exp(math.fsum(log_terms) / len(log_terms))
+    penalty = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return stats, 100.0 * penalty * geo_mean
 
 
 def naive_rouge_l(hyp: str, ref: str, beta=1.2) -> float:

@@ -257,8 +257,9 @@ def test_blank_lines_skipped(tmp_path, reader):
         ('{"id": "b", "x": NaN}', "invalid JSON: NaN is not a JSON number"),
         ('{"id": "b", "x": [Infinity]}', "invalid JSON: Infinity is not a JSON number"),
         ('{"id": "b", "x": -Infinity}', "invalid JSON: -Infinity is not a JSON number"),
+        ('{"id": "b"} {"id": "c"}', "invalid JSON: Extra data"),
     ],
-    ids=["invalid", "list", "string", "nested", "nan", "infinity", "minus-infinity"],
+    ids=["invalid", "list", "string", "nested", "nan", "infinity", "minus-infinity", "extra-data"],
 )
 def test_malformed_line_fails_alike_in_every_reader(tmp_path, reader, line, message):
     read, record = ID_READERS[reader]

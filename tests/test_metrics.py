@@ -22,7 +22,7 @@ from langadapt.metrics import (
     weighted_f1,
 )
 
-from oracles import counter_chrf_pp, naive_chrf, naive_rouge_l
+from oracles import counter_bleu, counter_chrf_pp, naive_chrf, naive_rouge_l
 from synthdata import make_lexicon
 
 WORDS = ["kucing", "makan", "nasi", "di", "rumah", "besar", "itu", "dia", "pergi", "cepat"]
@@ -71,6 +71,22 @@ def random_words_pairs(rng, n, words, lo, hi):
         return " ".join(rng.choice(words) for _ in range(rng.randint(lo, hi)))
 
     return [prediction(str(i), sentence(), sentence()) for i in range(n)]
+
+
+def memory_pairs():
+    """About 2 MB of text; chrF++ scoring it all as one batch peaks above 300 MB."""
+    return random_words_pairs(random.Random(29), 2000, make_lexicon("ind", 300, 0), 30, 80)
+
+
+def traced_peak(score, pairs):
+    """The report of ``score(pairs)`` and the peak bytes traced while making it."""
+    score(pairs[:1])  # numpy is imported on the first call
+    tracemalloc.start()
+    try:
+        report = score(pairs)
+        return report, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestWeightedF1:
@@ -185,15 +201,7 @@ class TestChrfPP:
         assert report.aggregate == math.fsum(expected.values()) / len(pairs)
 
     def test_memory_follows_the_batch_not_the_input(self):
-        # About 2 MB of text; scoring it all as one batch peaks above 300 MB.
-        pairs = random_words_pairs(random.Random(29), 2000, make_lexicon("ind", 300, 0), 30, 80)
-        chrf_pp(pairs[:1])  # numpy is imported on the first call
-        tracemalloc.start()
-        try:
-            report = chrf_pp(pairs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(chrf_pp, memory_pairs())
         assert report.n == 2000
         assert peak < 4_000_000
 
@@ -255,6 +263,77 @@ class TestCorpusBleu:
     def test_unknown_smoothing(self):
         with pytest.raises(ValueError, match="smoothing"):
             corpus_bleu([prediction("1", "a", "a")], smoothing="laplace")
+
+
+# Words that NFC composes ("e" + U+0301 is "é", U+212B is "Å") and runs of
+# whitespace that the tokenization collapses, U+00A0 and U+2028 among them.
+BLEU_TEXT = st.lists(
+    st.sampled_from(
+        ["a", "b", "ab", "é", "e\u0301", "Å", "\u212b", " ", "  ", "\t", "\n", "\u00a0", "\u2028"]
+    ),
+    max_size=30,
+).map("".join)
+
+
+@st.composite
+def bleu_pairs(draw):
+    """1-6 pairs, each with 1-3 references, any of them possibly empty."""
+    return [
+        prediction(str(i), draw(BLEU_TEXT), *draw(st.lists(BLEU_TEXT, min_size=1, max_size=3)))
+        for i in range(draw(st.integers(1, 6)))
+    ]
+
+
+class TestBleuStatistics:
+    @staticmethod
+    def assert_equals_counter_oracle(pairs, max_order, smoothing):
+        matched, totals, hyp_len, ref_len = metrics._bleu_stats(pairs, max_order)
+        report = corpus_bleu(pairs, max_order, smoothing)
+        stats, aggregate = counter_bleu(pairs, max_order, smoothing)
+        # Orders go up to the longest hypothesis; a shorter one has zeros there.
+        width = min(max_order, max(entry[2] for entry in stats))
+        assert matched.tolist() == [m + [0] * (width - len(m)) for m, _, _, _ in stats]
+        assert totals.tolist() == [t + [0] * (width - len(t)) for _, t, _, _ in stats]
+        assert hyp_len.tolist() == [entry[2] for entry in stats]
+        assert ref_len.tolist() == [entry[3] for entry in stats]
+        assert report.aggregate == aggregate
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=bleu_pairs(),
+        max_order=st.integers(1, 6),
+        smoothing=st.sampled_from([metrics.SMOOTHING_NONE, metrics.SMOOTHING_ADD_EPS_EXP]),
+        budget=st.sampled_from([1, 24, 96, metrics._CHRF_BATCH_CHARS]),
+    )
+    @example(pairs=[prediction("1", "", "")], max_order=4, smoothing="none", budget=1)
+    @example(
+        pairs=[
+            prediction("1", "e\u0301  b\u00a0a b", "é b", "a\tb a b"),
+            prediction("2", "a a a", "", "a a", "a"),
+            prediction("3", "", "a b"),
+        ],
+        max_order=4,
+        smoothing="add_eps_exp",
+        budget=8,
+    )
+    def test_equals_counter_oracle(self, pairs, max_order, smoothing, budget):
+        # Small budgets make the drawn lists cross batch boundaries; budget 1
+        # puts every pair above it, in a batch of its own.
+        with mock.patch.object(metrics, "_CHRF_BATCH_CHARS", budget):
+            self.assert_equals_counter_oracle(pairs, max_order, smoothing)
+
+    def test_batches_cross_the_budget_equal_counter_oracle(self):
+        rng = random.Random(24)
+        pairs = random_words_pairs(rng, 150, WORDS, 1, 40)
+        long_text = " ".join(rng.choice(WORDS) for _ in range(2000))
+        pairs.insert(70, prediction("long", long_text, long_text[::-1], "kucing makan"))
+        assert len(long_text) > metrics._CHRF_BATCH_CHARS
+        self.assert_equals_counter_oracle(pairs, 4, metrics.SMOOTHING_ADD_EPS_EXP)
+
+    def test_memory_follows_the_batch_not_the_input(self):
+        report, peak = traced_peak(corpus_bleu, memory_pairs())
+        assert report.n == 2000
+        assert peak < 4_000_000
 
 
 def test_orders_beyond_the_longest_sequence_cost_nothing():

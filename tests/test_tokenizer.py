@@ -3,6 +3,7 @@ import itertools
 import json
 import operator
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -325,8 +326,21 @@ class TestSerialization:
         # characters, in any order; zero merges print as ``[]``.
         names = list(dict.fromkeys([*tokenizer.REQUIRED_SPECIALS, *extra]))
         order.shuffle(names)
-        model = tokenizer.train_bpe(docs_from(["ab ab " + text]), 256 + len(names) + merges, names)
+        docs, vocab_size = docs_from(["ab ab " + text]), 256 + len(names) + merges
+        # UTF-8 cannot encode a surrogate code point, so no model file can hold it.
+        bad = [name for name in names if any("\ud800" <= ch <= "\udfff" for ch in name)]
+        if bad:
+            with pytest.raises(ValueError, match=re.escape(f"special token {bad[0]!r} has a lone")):
+                tokenizer.train_bpe(docs, vocab_size, names)
+            return
+        model = tokenizer.train_bpe(docs, vocab_size, names)
         assert tokenizer.serialize_model(model) == json_model_bytes(model)
+
+    def test_special_name_utf8_cannot_encode_rejected(self):
+        names = [*tokenizer.REQUIRED_SPECIALS, "\ud800"]
+        with pytest.raises(ValueError) as caught:
+            tokenizer.train_bpe(docs_from(["ab ab"]), 300, names)
+        assert str(caught.value) == "special token '\\ud800' has a lone surrogate at index 0"
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
