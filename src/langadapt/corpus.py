@@ -4,12 +4,12 @@ Raw corpora arrive either as plain text (one document per line) or as JSON
 lines with a required ``"text"`` field. Documents are NFC-normalized and
 trimmed on ingestion so that downstream tokenizer training and token
 statistics are reproducible. Malformed records fail fast; corpus builds must
-be auditable, so nothing is silently skipped except empty lines (which are
-counted). Every decoded JSON value a loader reads is checked with
-:func:`_typed` and kept as given; nothing is converted. Corpora, task
-records and the model outputs :mod:`metrics` scores are JSON lines read by
-one loop, :func:`_read_jsonl`; its callers only build items. All JSON goes
-through one decoder, which rejects ``NaN`` and ``Infinity``.
+be auditable, so nothing is skipped except empty lines. Every decoded JSON
+value a loader reads is checked with :func:`_typed` and kept as given;
+nothing is converted. Corpora, task records and the model outputs
+:mod:`metrics` scores are JSON lines read by one loop, :func:`_read_jsonl`;
+its callers only build items. All JSON goes through one decoder, which
+rejects ``NaN`` and ``Infinity``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Iterator
 __all__ = [
     "CorpusDocument",
     "IngestError",
-    "IngestStats",
     "TaskRecord",
     "TaskType",
     "ingest",
@@ -259,37 +258,22 @@ def _encodable_json(value, what: str) -> None:
             _encodable_json(item, f"{what}[{key!r}]" if what else key)
 
 
-@dataclass
-class IngestStats:
-    """Mutable counters filled in while an ingest stream is consumed."""
-
-    lines_read: int = 0
-    documents: int = 0
-    skipped_empty: int = 0
-
-
-def _read_jsonl(
-    path, make, what: str | None = None, stats: IngestStats | None = None
-) -> Iterator:
+def _read_jsonl(path, make, what: str | None = None) -> Iterator:
     """Yield ``make(record, id)`` for each non-blank line, a JSON object, in order.
 
     An ``"id"`` is a non-empty string or an integer, passed on as a string.
     Items of a kind with a source (``what``: "document" or "record") default
     it to the 0-based line number and are unique by (source, id) among those
     kept (``make`` returns ``None`` to skip one); model outputs need an id,
-    unique on its own and checked before ``make``. ``stats`` counts as in
-    :func:`ingest`. Errors raise :class:`IngestError` naming the file and
-    line; a ``KeyError`` from ``make`` reads ``missing key '<key>'``.
+    unique on its own and checked before ``make``. Errors raise
+    :class:`IngestError` naming the file and line; a ``KeyError`` from
+    ``make`` reads ``missing key '<key>'``.
     """
     # Ids by source (None for model outputs): (source, id) tuples took 1.4x the memory.
     seen: defaultdict[str | None, set[str]] = defaultdict(set)
-    if stats is None:
-        stats = IngestStats()
     for lineno, line in _read_lines(path):
-        stats.lines_read += 1
         payload = line.strip()
         if not payload:
-            stats.skipped_empty += 1
             continue
         try:
             # The payload is already stripped: raw_decode skips the two
@@ -313,7 +297,6 @@ def _read_jsonl(
                 seen[None].add(record_id)
             item = make(record, record_id)
             if item is None:
-                stats.skipped_empty += 1
                 continue
             if what is not None:
                 ids = seen[item.source]
@@ -329,7 +312,6 @@ def _read_jsonl(
             raise IngestError(f"{path}: line {lineno}: missing key {exc}") from exc
         except ValueError as exc:
             raise IngestError(f"{path}: line {lineno}: {exc}") from exc
-        stats.documents += 1
         yield item
 
 
@@ -339,28 +321,22 @@ def ingest(
     *,
     language: str,
     source: str,
-    stats: IngestStats | None = None,
 ) -> Iterator[CorpusDocument]:
     """Stream documents from a corpus file, one per non-empty line or record.
 
     Text is NFC-normalized and trimmed; lines that are empty after trimming
-    are skipped and counted in ``stats``. JSON lines must be objects with a
-    ``"text"`` field and an optional string or integer ``"id"``; a missing id
-    defaults to the 0-based line number as a decimal string (plain lines are
-    numbered the same way). Lines end at ``"\n"`` only. Invalid UTF-8 and
-    malformed records raise :class:`IngestError` naming the 1-based line.
+    are skipped. JSON lines must be objects with a ``"text"`` field and an
+    optional string or integer ``"id"``; a missing id defaults to the 0-based
+    line number as a decimal string (plain lines are numbered the same way).
+    Lines end at ``"\n"`` only. Invalid UTF-8 and malformed records raise
+    :class:`IngestError` naming the 1-based line.
     """
     _check_format(format)
-    if stats is None:
-        stats = IngestStats()
     if format == PLAIN_LINES:  # ids are line numbers, never repeated
         for lineno, line in _read_lines(path):
-            stats.lines_read += 1
             text = unicodedata.normalize("NFC", line).strip()
             if not text:
-                stats.skipped_empty += 1
                 continue
-            stats.documents += 1
             yield CorpusDocument(id=str(lineno - 1), text=text, language=language, source=source)
     else:
 
@@ -371,7 +347,7 @@ def ingest(
                 return None
             return CorpusDocument(id=doc_id, text=text, language=language, source=source)
 
-        yield from _read_jsonl(path, make, "document", stats)
+        yield from _read_jsonl(path, make, "document")
 
 
 def read_task_records(

@@ -8,14 +8,13 @@ are invariant under any permutation of the examples.
 
 chrF++ and BLEU count n-grams with numpy arrays over consecutive batches of
 pairs of at most 8 192 characters, so their memory follows one batch, not
-the input. One ranking pass gives every n-gram of a batch an exact dense
-rank, with no width limit; chrF++ and BLEU each reduce its runs to the
-integers a count of string slices or word tuples gives, so scores are
-bit-identical to it (``tests/oracles.py``: ``counter_chrf_pp``,
-``counter_bleu``). BLEU keeps integer statistics per pair and combines
-their sums in one step. chrF++ and BLEU count orders only up to the longest
-sequence: higher orders have no n-grams and change no score, however large
-the configured order.
+the input. One ranking pass tags each symbol with its pair, so the runs of
+an n-gram are its pair's hypothesis, then its references; chrF++ clips each
+reference's counts by the hypothesis's, BLEU the hypothesis's by the largest
+reference's. Scores are bit-identical to counting string slices or word
+tuples (``tests/oracles.py``: ``counter_chrf_pp``, ``counter_bleu``). BLEU
+keeps integer statistics per pair and combines their sums in one step. Both
+count orders only up to the longest sequence: higher orders have no n-grams.
 
 Tie rules are fixed for determinism: argmax breaks ties by lowest index, and
 the safety preference counts only strict inequalities.
@@ -29,11 +28,13 @@ from __future__ import annotations
 
 import math
 import sys
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Iterable, Sequence
 
-from .corpus import _batches, _read_jsonl, _typed, normalize
+from .corpus import _batches, _read_jsonl, _typed
 
 __all__ = [
     "LabeledPair",
@@ -220,28 +221,55 @@ def _chrf_cost(pair: PredictionPair) -> int:
     return len(pair.hypothesis) + 1 + sum(len(ref) + 1 for ref in pair.references)
 
 
-def _ngram_runs(codes, lengths, orders: int):
+def _batch_texts(pairs: Sequence[PredictionPair], split):
+    """Per batch of pairs, each pair's hypothesis then its references, as words.
+
+    Yields ``(spans, texts, pair_of, codes)``: the range of text indices of
+    each pair (its hypothesis first), each text's ``split`` words, each
+    text's pair in the batch, and the code of every word back to back
+    (int64), which is the position in the batch of its first occurrence.
+    """
+    import numpy as np  # not at the top: see collection.subsample_to_target
+
+    for batch in _batches(pairs, _chrf_cost, _CHRF_BATCH_CHARS):
+        spans: list[range] = []
+        texts: list[list[str]] = []
+        for pair in batch:
+            spans.append(range(len(texts), len(texts) + 1 + len(pair.references)))
+            texts += map(split, (pair.hypothesis, *pair.references))
+        pair_of = np.repeat(np.arange(len(spans)), list(map(len, spans)))
+        vocab: dict[str, int] = {}
+        codes = np.array(list(map(vocab.setdefault, chain.from_iterable(texts), count())), np.int64)
+        yield spans, texts, pair_of, codes
+
+
+def _hyp_runs(codes, lengths, pair_of, orders: int):
     """Per order 1..orders, every run of one n-gram in one text, n-gram by n-gram.
 
-    ``codes`` holds the texts' symbols back to back (int64) and ``lengths``
-    each text's length. Each order yields ``(run_text, new, rank, counts)``:
-    the text of each run, whether the run starts a new n-gram, the n-gram's
-    dense rank, and how often the n-gram occurs in that text. Within one
-    n-gram the runs go by text index.
+    ``codes`` holds the texts' symbols back to back (int64), ``lengths``
+    each text's length and ``pair_of`` each text's pair; a pair's texts are
+    consecutive, its hypothesis first. Each symbol is tagged with its pair,
+    so an n-gram belongs to one pair and its runs are that pair's
+    hypothesis, if it holds the n-gram, then its references, by text. Each
+    order yields ``(run_text, run_hyp, first, in_hyp, counts)``: each run's
+    text, whether that text is a hypothesis, the first run of each n-gram,
+    the n-gram's count in the hypothesis, and each run's count.
     """
-    import numpy as np  # not at the top: see _chrf_scores
+    import numpy as np  # not at the top: see collection.subsample_to_target
 
     texts = len(lengths)
     text = np.repeat(np.arange(texts), lengths)
+    is_hyp = np.concatenate(([True], pair_of[1:] != pair_of[:-1]))
     # Symbols left in the text from each position on, that one included.
     left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))
-    # Each distinct (symbol, text) gets a number, in symbol-major order. An
-    # n-gram's key is its (n-1)-gram's dense rank, then the number of its last
-    # symbol, which also names its text: so the sorted keys run n-gram by
-    # n-gram, text by text within one, and stay below len(codes)**2.
+    # Each distinct (symbol, text) gets a number, in symbol-major order, and
+    # each distinct (symbol, pair) a tag. An n-gram's key is its (n-1)-gram's
+    # dense rank, then the number of its last symbol, which also names its
+    # text: so the sorted keys run n-gram by n-gram, text by text within one,
+    # and stay below len(codes)**2.
     numbers, tail = np.unique(codes * texts + text, return_inverse=True)
     symbol, tail_text = np.divmod(numbers, texts)
-    tail_symbol = np.cumsum(np.concatenate(([False], symbol[1:] != symbol[:-1])))
+    tail_tag = symbol * texts + pair_of[tail_text]
     width = len(numbers)
     pos = np.arange(len(codes))
     for n in range(1, orders + 1):
@@ -254,36 +282,13 @@ def _ngram_runs(codes, lengths, orders: int):
                 gram * width + tail[pos + n - 1], return_inverse=True, return_counts=True
             )
         prefix, last = np.divmod(keys, width)
-        run_text, last = tail_text[last], tail_symbol[last]
+        run_text, last = tail_text[last], tail_tag[last]
         new = np.concatenate(([True], (prefix[1:] != prefix[:-1]) | (last[1:] != last[:-1])))
-        rank = np.cumsum(new)
-        gram = rank[inverse]
-        yield run_text, new, rank, counts
-
-
-def _matched_counts(codes, lengths, hyp_of, orders: int) -> list[list[int]]:
-    """Per order 1..orders, each text's n-grams matched against its hypothesis.
-
-    ``hyp_of[t]`` is the text index of the hypothesis that text ``t`` is
-    scored against. The count for a reference is the sum over its n-grams of
-    min(count in it, count in the hypothesis); a hypothesis matches itself in
-    full.
-    """
-    import numpy as np
-
-    texts = len(lengths)
-    is_hyp = hyp_of == np.arange(texts)
-    matched = []
-    for run_text, _, rank, counts in _ngram_runs(codes, lengths, orders):
-        # The nearest hypothesis run at or before each run holds the run's
-        # n-gram in the run's own hypothesis exactly when its rank matches and
-        # its text is that hypothesis.
-        prev = np.maximum.accumulate(np.where(is_hyp[run_text], np.arange(len(rank)), -1))
-        hit = (prev >= 0) & (rank[prev] == rank) & (run_text[prev] == hyp_of[run_text])
-        both = np.minimum(counts, counts[prev])[hit]
-        # bincount sums its weights as floats, exact for counts below 2**53.
-        matched.append(np.bincount(run_text[hit], both, texts).astype(np.int64).tolist())
-    return matched
+        gram = np.cumsum(new)[inverse]
+        first = np.flatnonzero(new)
+        run_hyp = is_hyp[run_text]
+        # A hypothesis run is the first run of its n-gram.
+        yield run_text, run_hyp, first, np.where(run_hyp[first], counts[first], 0), counts
 
 
 def _chrf_pair(counts: list[tuple[int, int, int]], beta: float) -> float:
@@ -305,35 +310,31 @@ def _chrf_pair(counts: list[tuple[int, int, int]], beta: float) -> float:
 
 
 def _chrf_scores(pairs: Sequence[PredictionPair], char_order: int, word_order: int, beta: float):
-    # Imported here for the reason given in collection.subsample_to_target.
-    import numpy as np
+    import numpy as np  # not at the top: see collection.subsample_to_target
 
-    for batch in _batches(pairs, _chrf_cost, _CHRF_BATCH_CHARS):
-        # Each pair's hypothesis, then its references. Character n-grams skip
-        # whitespace; word n-grams come from whitespace tokenization.
-        texts: list[str] = []
-        hyp_index: list[int] = []
-        for pair in batch:
-            hyp_index += [len(texts)] * (1 + len(pair.references))
-            texts += (pair.hypothesis, *pair.references)
-        words = [text.split() for text in texts]
+    # Character n-grams skip whitespace; word n-grams come from whitespace
+    # tokenization.
+    for spans, words, pair_of, word_codes in _batch_texts(pairs, str.split):
         chars = ["".join(tokens) for tokens in words]
-        vocab: dict[str, int] = {}
-        word_ids = [vocab.setdefault(word, len(vocab)) for tokens in words for word in tokens]
         # JSON "\ud800" decodes to a lone surrogate, which strict UTF-32 rejects.
         char_codes = "".join(chars).encode("utf-32-le", "surrogatepass")
-        hyp_of = np.array(hyp_index)
         sides = []
         for codes, lengths, max_order in (
             (np.frombuffer(char_codes, "<u4").astype(np.int64), list(map(len, chars)), char_order),
-            (np.array(word_ids, np.int64), list(map(len, words)), word_order),
+            (word_codes, list(map(len, words)), word_order),
         ):
             # Orders beyond the longest text have no n-grams on either side.
             orders = min(max_order, max(lengths))
-            sides.append((lengths, _matched_counts(codes, np.array(lengths), hyp_of, orders)))
-        hyp = 0
-        for pair in batch:
-            refs = range(hyp + 1, hyp + 1 + len(pair.references))
+            matched = []
+            runs = _hyp_runs(codes, np.array(lengths), pair_of, orders)
+            for run_text, _, first, in_hyp, counts in runs:
+                # A text matches each of its n-grams as often as both it and
+                # its hypothesis hold it. bincount sums its weights as
+                # floats, exact for counts below 2**53.
+                both = np.minimum(counts, np.repeat(in_hyp, np.diff(first, append=len(counts))))
+                matched.append(np.bincount(run_text, both, len(words)).astype(np.int64).tolist())
+            sides.append((lengths, matched))
+        for hyp, *refs in spans:
             yield max(
                 _chrf_pair(
                     [
@@ -345,7 +346,6 @@ def _chrf_scores(pairs: Sequence[PredictionPair], char_order: int, word_order: i
                 )
                 for ref in refs
             )
-            hyp = refs.stop
 
 
 def chrf_pp(
@@ -366,6 +366,10 @@ def chrf_pp(
     return _mean_report("chrf_pp", pairs, _chrf_scores(pairs, char_order, word_order, beta))
 
 
+def _bleu_words(text: str) -> list[str]:
+    return unicodedata.normalize("NFC", text).split()
+
+
 def _bleu_stats(pairs: Sequence[PredictionPair], max_order: int):
     """Per pair: clipped matches and hypothesis n-grams for each order, the
     hypothesis length, and the reference length closest to it (ties to the
@@ -376,51 +380,26 @@ def _bleu_stats(pairs: Sequence[PredictionPair], max_order: int):
     match counts an n-gram at most as often as the one reference that holds
     it most often.
     """
-    import numpy as np  # not at the top: see _chrf_scores
+    import numpy as np  # not at the top: see collection.subsample_to_target
 
     parts = []
     hyp_lens: list[int] = []
     ref_lens: list[int] = []
-    for batch in _batches(pairs, _chrf_cost, _CHRF_BATCH_CHARS):
-        # Each pair's hypothesis, then its references.
-        words: list[str] = []
-        lengths: list[int] = []
-        pair_index: list[int] = []
-        for i, pair in enumerate(batch):
-            texts = [normalize(text).split() for text in (pair.hypothesis, *pair.references)]
-            sizes = list(map(len, texts))
-            hyp_lens.append(sizes[0])
-            ref_lens.append(min((abs(size - sizes[0]), size) for size in sizes[1:])[1])
-            for text in texts:
-                words += text
-            lengths += sizes
-            pair_index += [i] * len(texts)
-        # A word's code is the position of its first occurrence in the batch,
-        # times the pair count, plus its pair. So n-grams of different pairs
-        # never rank alike, and the runs of one n-gram are its pair's
-        # hypothesis, if that holds it, then its references.
-        vocab: dict[str, int] = {}
-        ids = np.fromiter(map(vocab.setdefault, words, range(len(words))), np.int64, len(words))
-        pair_of, lengths = np.array(pair_index), np.array(lengths)
-        codes = ids * len(batch) + np.repeat(pair_of, lengths)
-        is_hyp = np.concatenate(([True], pair_of[1:] != pair_of[:-1]))
-        orders = min(max_order, max(hyp_lens[-len(batch) :]))
-        matched = np.zeros((len(batch), orders), np.int64)
-        for n, (run_text, new, _, counts) in enumerate(_ngram_runs(codes, lengths, orders)):
-            run_hyp, starts = is_hyp[run_text], np.flatnonzero(new)
-            clipped = np.minimum(
-                np.add.reduceat(np.where(run_hyp, counts, 0), starts),
-                np.maximum.reduceat(np.where(run_hyp, 0, counts), starts),
-            )
+    for spans, texts, pair_of, codes in _batch_texts(pairs, _bleu_words):
+        sizes = list(map(len, texts))
+        for hyp, *refs in spans:
+            hyp_lens.append(sizes[hyp])
+            ref_lens.append(min((abs(sizes[ref] - sizes[hyp]), sizes[ref]) for ref in refs)[1])
+        orders = min(max_order, max(hyp_lens[-len(spans) :]))
+        matched = np.zeros((len(spans), orders), np.int64)
+        runs = _hyp_runs(codes, np.array(sizes), pair_of, orders)
+        for n, (run_text, run_hyp, first, in_hyp, counts) in enumerate(runs):
+            clipped = np.minimum(in_hyp, np.maximum.reduceat(np.where(run_hyp, 0, counts), first))
             # bincount sums its weights as floats, exact for counts below 2**53.
-            matched[:, n] = np.bincount(pair_of[run_text[starts]], clipped, len(batch))
+            matched[:, n] = np.bincount(pair_of[run_text[first]], clipped, len(spans))
         parts.append(matched)
     orders = max(part.shape[1] for part in parts)
-    matched = np.zeros((len(hyp_lens), orders), np.int64)
-    row = 0
-    for part in parts:
-        matched[row : row + len(part), : part.shape[1]] = part
-        row += len(part)
+    matched = np.concatenate([np.pad(p, ((0, 0), (0, orders - p.shape[1]))) for p in parts])
     hyp_len = np.array(hyp_lens, np.int64)
     totals = np.maximum(hyp_len[:, None] - np.arange(orders), 0)
     return matched, totals, hyp_len, np.array(ref_lens, np.int64)
@@ -457,7 +436,7 @@ def corpus_bleu(
 ) -> MetricReport:
     """Corpus-level BLEU: clipped n-gram precision geometric mean times BP.
 
-    Tokenization is whitespace splitting after text normalization. Clipped
+    Tokenization is whitespace splitting after NFC normalization. Clipped
     counts take the per-n-gram maximum across references; the reference
     length is the closest to the hypothesis length (ties to the shorter).
     The ``add_eps_exp`` smoothing replaces a zero precision at order n with

@@ -9,7 +9,6 @@ from langadapt import corpus, metrics
 from langadapt.corpus import (
     CorpusDocument,
     IngestError,
-    IngestStats,
     TaskRecord,
     TaskType,
 )
@@ -51,11 +50,8 @@ class TestIngestPlainLines:
     def test_trims_and_skips_empty(self, tmp_path):
         path = tmp_path / "corpus.txt"
         write_lines(path, ["halo", "", " dunia "])
-        stats = IngestStats()
-        docs = list(corpus.ingest(path, language="ind", source="demo", stats=stats))
+        docs = list(corpus.ingest(path, language="ind", source="demo"))
         assert [d.text for d in docs] == ["halo", "dunia"]
-        assert stats.skipped_empty == 1
-        assert stats.documents == 2
 
     def test_ids_are_line_numbers(self, tmp_path):
         path = tmp_path / "corpus.txt"
@@ -107,10 +103,8 @@ class TestIngestJsonLines:
     def test_trims_and_skips_empty(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_lines(path, [json.dumps({"text": " halo "}), "", json.dumps({"text": "  "})])
-        stats = IngestStats()
-        docs = list(corpus.ingest(path, "json_lines", language="ind", source="demo", stats=stats))
+        docs = list(corpus.ingest(path, "json_lines", language="ind", source="demo"))
         assert [(d.id, d.text) for d in docs] == [("0", "halo")]
-        assert stats == IngestStats(lines_read=3, documents=1, skipped_empty=2)
 
     def test_explicit_id(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -179,6 +179,14 @@ class TestChrfPP:
         word_order=2,
         budget=8,
     )
+    # One batch: pair 2's reference is pair 1's hypothesis, and pair 1's
+    # reference holds "a" and "a a" more often than its hypothesis does.
+    @example(
+        pairs=[prediction("1", "a b", "a a a b"), prediction("2", "b a", "a b")],
+        char_order=6,
+        word_order=2,
+        budget=metrics._CHRF_BATCH_CHARS,
+    )
     def test_equals_counter_oracle(self, pairs, char_order, word_order, budget):
         # Small budgets make the drawn lists cross batch boundaries; budget 1
         # puts every pair above it, in a batch of its own.
