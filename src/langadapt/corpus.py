@@ -27,7 +27,6 @@ __all__ = [
     "TaskRecord",
     "TaskType",
     "ingest",
-    "normalize",
     "read_task_records",
 ]
 
@@ -118,15 +117,6 @@ class TaskRecord:
                 raise ValueError(
                     f"translation record {self.id!r} must carry 'src' and 'tgt' slots"
                 )
-
-
-def normalize(text: str) -> str:
-    """NFC-normalize, collapse whitespace runs to single ASCII spaces, trim.
-
-    Idempotent, and never increases the codepoint count beyond what NFC
-    composition itself does.
-    """
-    return " ".join(unicodedata.normalize("NFC", text).split())
 
 
 # kind -> (the exact Python types ``json`` decodes a value of that kind to,

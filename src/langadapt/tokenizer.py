@@ -7,16 +7,18 @@ deterministic on any platform and independent of thread count. Merges never
 cross an ASCII whitespace byte, which keeps learned pieces word-internal and
 stabilizes fertility numbers.
 
-Training counts each distinct word once and learns merges in two phases.
-The first ``_ARRAY_MERGES`` merges, each of which rewrites many words, run in
-array rounds over all the words at once: a dense table of exact pair counts
-gives the next pair by one argmax, and a merge rewrites all its sites and
-adds the count changes of the pairs beside them in one scatter. Then the
-incremental loop of Sennrich et al. (2016) learns the long tail: a merge
-rewrites only the words that contain its pair and adjusts only the two
-neighbouring pairs of each site, and a lazy max-heap of pair counts picks the
-next merge. Both phases keep exact counts and break ties alike, so the merges
-equal those of a full recount after every step.
+Training and encoding share one flat form of words: their token ids back
+to back, and the number of ids of each word. Training counts each distinct
+word once and learns merges in two phases. The first ``_ARRAY_MERGES``
+merges, each of which rewrites many words, run in array rounds over the flat
+words: a dense table of exact pair counts gives the next pair by one argmax,
+and a merge rewrites all its sites and adds the count changes of the pairs
+beside them in one scatter. ``_loop_state`` then builds, from the flat words,
+whether or not a round ran, the incremental loop of Sennrich et al. (2016)
+for the long tail: a merge rewrites only the words that contain its pair and
+adjusts only the two neighbouring pairs of each site, and a lazy max-heap of
+pair counts picks the next merge. Both phases keep exact counts and break
+ties alike, so the merges equal those of a full recount after every step.
 
 Encoding applies merges in learned order to each whitespace-free word and
 keeps nothing per word, only the merge rank lookups per model. All of it goes
@@ -222,7 +224,13 @@ def _learn_merges(
     vocab_size: int,
     byte_offset: int,
 ) -> list[tuple[int, int]]:
-    # The first merges come from array rounds; the loop below learns the rest.
+    import numpy as np  # not at the top: see collection.subsample_to_target
+
+    # The flat words of two bytes or more; an int64 addend keeps uint8 ids from wrapping.
+    distinct = [word for word in word_counts if len(word) > 1]
+    lengths = np.fromiter(map(len, distinct), np.int64, len(distinct))
+    freq = np.fromiter(map(word_counts.__getitem__, distinct), np.int64, len(distinct))
+    ids = np.frombuffer(b"".join(distinct), np.uint8) + np.int64(byte_offset)
     # Incremental pair bookkeeping: exact pair counts, the words each pair
     # may occur in, and a lazy max-heap of (-count, left, right) entries.
     # Every live pair keeps at least one entry whose key is >= its count:
@@ -235,9 +243,9 @@ def _learn_merges(
     existing = set(pieces)
     merges: list[tuple[int, int]] = []
     stop = min(vocab_size, len(pieces) + _ARRAY_MERGES)
-    words, freqs, pair_counts, pair_words = _array_merges(
-        word_counts, pieces, existing, merges, stop, byte_offset
-    )
+    if len(pieces) < stop:
+        ids, lengths = _array_merges(ids, lengths, freq, pieces, existing, merges, stop, byte_offset)
+    words, freqs, pair_counts, pair_words = _loop_state(ids, lengths, freq, len(pieces))
     heap = [(-count, pair[0], pair[1]) for pair, count in pair_counts.items()]
     heapq.heapify(heap)
 
@@ -317,40 +325,27 @@ def _learn_merges(
 _ARRAY_MERGES = 128
 
 
-def _array_merges(
-    word_counts: Counter[bytes],
-    pieces: list[bytes],
-    existing: set[bytes],
-    merges: list[tuple[int, int]],
-    stop: int,
-    byte_offset: int,
-) -> tuple[list[list[int]], list[int], dict, dict]:
-    """Learn merges in array rounds until ``len(pieces) == stop`` or no pair
-    occurs twice, extending ``pieces``, ``existing`` and ``merges`` as the
-    loop does. Return the loop's state: the words of two bytes or more as
-    rewritten id lists, their frequencies, and each pair's exact count and
-    the words that hold it.
+def _array_merges(ids, lengths, freq, pieces, existing, merges, stop, byte_offset):
+    """Learn merges in array rounds over flat words weighted by ``freq`` until
+    ``len(pieces) == stop`` or no pair occurs twice, extending ``pieces``,
+    ``existing`` and ``merges`` as the loop does; return the rewritten words
+    in the same flat form, absolute ids back to back and each word's length.
 
-    The words lie back to back in ``ids``, with the word of each position in
-    ``word``; ids count from byte 0, so that no special token takes a row.
-    A merge writes the new id over each site's left id and -1 over its right
-    one, and links around the right one: ``nxt`` and ``prv`` give a live
-    position's neighbours, or position ``n`` (id -1) past either end of its
-    word. The exact pair counts are a dense table, a row and a column per id
-    below ``stop``, so a row-major argmax picks the highest count, then the
-    lowest left id, then the lowest right id. A merge rewrites all its sites at once and adds the
-    count changes of their neighbour pairs, weighted by word frequency, in
-    one scatter.
+    Inside, ids count from byte 0, so that no special token takes a row, and
+    ``word`` gives the word of each position. A merge writes the new id over
+    each site's left id and -1 over its right one, and links around the right
+    one: ``nxt`` and ``prv`` give a live position's neighbours, or position
+    ``n`` (id -1) past either end of its word. The exact pair counts are a
+    dense table, a row and a column per id below ``stop``, so a row-major
+    argmax picks the highest count, then the lowest left id, then the lowest
+    right id. A merge rewrites all its sites at once and adds the count changes
+    of their neighbour pairs, weighted by word frequency, in one scatter.
     """
     import numpy as np  # not at the top: see collection.subsample_to_target
 
-    distinct = [word for word in word_counts if len(word) > 1]
-    lengths = np.fromiter(map(len, distinct), np.int64, len(distinct))
-    freq = np.fromiter(map(word_counts.__getitem__, distinct), np.int64, len(distinct))
-    data = np.frombuffer(b"".join(distinct), np.uint8)
-    n, size = len(data), stop - byte_offset
-    ids = np.append(data.astype(np.int64), -1)
-    word = np.repeat(np.arange(len(distinct)), lengths)
+    n, size = len(ids), stop - byte_offset
+    ids = np.append(ids - byte_offset, -1)
+    word = np.repeat(np.arange(len(lengths)), lengths)
     ends = np.cumsum(lengths)
     nxt = np.arange(1, n + 2)
     nxt[ends - 1] = n
@@ -367,7 +362,7 @@ def _array_merges(
         merged = pieces[byte_offset + left] + pieces[byte_offset + right]
         if merged in existing:
             # Only pairs holding a new id ever rise, so a banned pair never
-            # comes back up; the handover recounts it.
+            # comes back up; ``_loop_state`` recounts it.
             counts[best] = 0
             continue
         new_id = len(pieces) - byte_offset
@@ -392,23 +387,28 @@ def _array_merges(
         ids[gone] = -1
         nxt[sites] = nxt[gone]
         prv[nxt[sites]] = sites
-    # Handover: the words as id lists, then each pair's exact count and the
-    # words that hold it, from the pair occurrences sorted by pair.
-    # Each id and word index is one shared int object, as in the loop's
-    # lists, not one object per position.
-    id_ints = np.arange(byte_offset, stop).astype(object)
     live = ids[:n] >= 0
-    ids, word = ids[:n][live], word[live]
-    bounds = np.cumsum(np.bincount(word, minlength=len(distinct))).tolist()
+    return ids[:n][live] + byte_offset, np.bincount(word[live], minlength=len(lengths))
+
+
+def _loop_state(ids, lengths, freq, size):
+    """The loop's state for flat words of ids below ``size``: each word as an
+    id list, ``freq`` as a list, and each pair's exact count and the words that
+    hold it, grouped by the key ``left * size + right``. Each id and word index
+    is one shared int object, as in the loop's lists, not one per position."""
+    import numpy as np  # not at the top: see collection.subsample_to_target
+
+    id_ints = np.arange(size).astype(object)
+    word = np.repeat(np.arange(len(lengths)), lengths)
     flat = id_ints[ids].tolist()
-    words = [flat[a:b] for a, b in pairwise(chain((0,), bounds))]
+    words = [flat[a:b] for a, b in pairwise(chain((0,), np.cumsum(lengths).tolist()))]
     pos = np.flatnonzero(word[:-1] == word[1:])
     key = ids[pos] * size + ids[pos + 1]
     order = np.argsort(key)
     key, member = key[order], word[pos][order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     totals = np.add.reduceat(freq[member], starts).tolist()
-    members = np.arange(len(distinct)).astype(object)[member].tolist()
+    members = np.arange(len(lengths)).astype(object)[member].tolist()
     spans = pairwise(chain(starts.tolist(), (len(members),)))
     pairs = list(zip(*(id_ints[half].tolist() for half in np.divmod(key[starts], size))))
     pair_words = {pair: set(members[a:b]) for pair, (a, b) in zip(pairs, spans)}

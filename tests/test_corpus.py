@@ -1,9 +1,6 @@
 import json
-import random
-import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
 
 from langadapt import corpus, metrics
 from langadapt.corpus import (
@@ -16,34 +13,6 @@ from langadapt.corpus import (
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-class TestNormalize:
-    def test_nfc_composition(self):
-        assert corpus.normalize("á") == "á"
-
-    def test_whitespace_collapse(self):
-        assert corpus.normalize("a\t\tb ") == "a b"
-
-    def test_unicode_whitespace(self):
-        assert corpus.normalize("a  b\r\n") == "a b"
-
-    def test_idempotent_on_random_strings(self):
-        rng = random.Random(13)
-        for _ in range(1000):
-            codepoints = [
-                rng.randrange(0x1, 0xD800) if rng.random() < 0.9 else rng.randrange(0xE000, 0x110000)
-                for _ in range(rng.randrange(0, 40))
-            ]
-            text = "".join(map(chr, codepoints))
-            once = corpus.normalize(text)
-            assert corpus.normalize(once) == once
-
-    @given(st.text())
-    def test_idempotent_and_bounded(self, text):
-        once = corpus.normalize(text)
-        assert corpus.normalize(once) == once
-        assert len(once) <= len(unicodedata.normalize("NFC", text))
 
 
 class TestIngestPlainLines:

@@ -5,10 +5,12 @@ import operator
 import random
 import re
 import tracemalloc
+from collections import Counter, defaultdict
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from langadapt import tokenizer
 from langadapt.corpus import CorpusDocument
@@ -55,8 +57,10 @@ def assert_encodes_like_naive(model, data):
             assert tokenizer.encode_bytes(model, data) == expected, path
 
 
-# _ARRAY_MERGES: the loop alone, a switch that toy corpora cross after two
-# array merges, and array rounds only.
+# _ARRAY_MERGES: no array rounds, so that _loop_state builds the loop from
+# the unmerged byte ids, as it would from words encoded by a base model; a
+# switch that toy corpora cross after two array merges; and array rounds
+# only. All three must train like naive_train_bpe.
 TRAIN_PATHS = {"loop": 0, "switch-2": 2, "arrays": 10**9}
 
 
@@ -110,6 +114,12 @@ mixed_whitespace_text = st.lists(
 ).map("".join)
 
 
+@pytest.fixture(scope="module")
+def runs_model():
+    # Learns (a, a), (a, b), (aa, aa) and (aa, a).
+    return tokenizer.train_bpe(docs_from(["aaaaaaa aaaa aaa abab ab ab"]), 256 + 3 + 4)
+
+
 class TestTrainBpe:
     def test_single_possible_merge(self):
         model = tokenizer.train_bpe(docs_from(["aaaa"]), 256 + 3 + 1)
@@ -134,6 +144,43 @@ class TestTrainBpe:
         # Mixed languages make training sum several per-language counters.
         assume(any(doc.text.split() for doc in docs))
         assert_trains_like_naive(docs, vocab_size)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=st.lists(
+            st.tuples(
+                st.builds(operator.mul, st.sampled_from([b"a", b"b", b"ab"]), st.integers(1, 9)),
+                st.integers(1, 5),
+            ),
+            max_size=12,
+        ),
+        path=st.sampled_from(sorted(ENCODER_PATHS)),
+    )
+    @example(
+        table=[(b"a", 3), (b"aaaa", 2), (b"aaaa", 1), (b"aaaaaaa", 4), (b"abab", 2)], path="arrays"
+    )
+    def test_loop_state_of_encoded_words_matches_naive_recount(self, runs_model, table, path):
+        # Words encoded by a trained model, flat as _encode_words yields them:
+        # one-id words, runs whose pair sites overlap, and repeated words.
+        pieces, merges = list(runs_model.pieces), list(runs_model.merges)
+        with encoder_path(path):
+            batches = list(tokenizer._encode_words(runs_model, [word for word, _ in table]))
+        ids = np.array([i for batch, _ in batches for i in batch], np.int64)
+        lengths = np.array([n for _, sizes in batches for n in sizes], np.int64)
+        freq = np.array([f for _, f in table], np.int64)
+        words, freqs, pair_counts, pair_words = tokenizer._loop_state(
+            ids, lengths, freq, runs_model.piece_count
+        )
+        expected = [naive_encode_bytes(pieces, merges, runs_model.byte_offset, w) for w, _ in table]
+        counts, holders = Counter(), defaultdict(set)
+        for index, (word, (_, f)) in enumerate(zip(expected, table)):
+            for pair in zip(word, word[1:]):
+                counts[pair] += f
+                holders[pair].add(index)
+        assert words == expected
+        assert freqs == freq.tolist()
+        assert pair_counts == dict(counts)
+        assert pair_words == dict(holders)
 
     def test_adjacent_merge_sites_match_naive_oracle(self):
         model = assert_trains_like_naive(docs_from(["aaaaaaa aaaa aaa"]), 280)
