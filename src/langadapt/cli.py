@@ -1,7 +1,7 @@
 """Command-line pipelines wiring the toolkit modules together.
 
-One binary with subcommands. Each command reads an optional JSON config
-(flags override config values) and writes its artifacts into a hidden stage
+One binary with subcommands. Each command reads a JSON config (flags
+override config values) and writes its artifacts into a hidden stage
 directory inside the output directory. Success publishes them: the staged
 files' checksums go into ``manifest.json``, the earlier manifest is removed,
 and every file is renamed into the output directory, the manifest last. A
@@ -35,14 +35,16 @@ from . import __version__, collection, corpus, metrics, tokenizer, vocab_adapt
 _STR, _INT, _NUM, _FILES = "a string", "an integer", "a number", "a string or a list"
 _PATH = "a path"
 _GLOBAL_KEYS = {"seed": _INT, "threads": _INT, "out": _STR}
-# Keys of a ``corpus``/``records`` entry object, each a string; a ``corpus``
-# entry's keys but ``path`` may also be given once at the top level. Records
-# are always JSON lines, so their entries take no ``format``.
+# ``_FILES`` key -> (keys of its entry objects, each a string; the ``corpus``
+# reader, looked up at call time and given an entry's path, then its other keys
+# by name; the noun for an item; whether an item may name its own source and
+# language). A ``corpus`` entry's keys but ``path`` may also be given once at
+# the top level. Records are always JSON lines, so their entries take no ``format``.
 _ENTRY_KEYS = {
-    "corpus": ("path", "format", "language", "source"),
-    "records": ("path", "language", "source"),
+    "corpus": (("path", "format", "language", "source"), "ingest", "document", False),
+    "records": (("path", "language", "source"), "read_task_records", "record", True),
 }
-_CORPUS_KEYS = {"corpus": _FILES, **dict.fromkeys(_ENTRY_KEYS["corpus"][1:], _STR)}
+_CORPUS_KEYS = {"corpus": _FILES, **dict.fromkeys(_ENTRY_KEYS["corpus"][0][1:], _STR)}
 # metric -> (reader, {option: kind}). Both names are looked up on
 # ``metrics`` at call time, so wrappers set on the module after import apply.
 _SCORERS = {
@@ -86,20 +88,18 @@ class _InputChecksums(threading.Thread):
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     """The config file's values, checked against their keys' kinds, then flags and defaults."""
-    config: dict = {}
-    if args.config is not None:
-        config = corpus._load_json(args.config, ConfigError)
-        kinds = _COMMANDS[args.command][2] | _GLOBAL_KEYS
-        try:
-            for key, value in corpus._object(config, kinds, f"{args.command} config").items():
-                kind = kinds[key]
-                corpus._typed(value, _STR if kind == _PATH else kind, key)
-                if kind == _PATH and not value:
-                    raise ValueError(f"{key} must be non-empty")
-            if config.get("threads", 1) < 1:
-                raise ValueError("threads must be >= 1")
-        except ValueError as exc:
-            raise ConfigError(f"{args.config}: {exc}") from exc
+    config = corpus._load_json(args.config, ConfigError)
+    kinds = _COMMANDS[args.command][2] | _GLOBAL_KEYS
+    try:
+        for key, value in corpus._object(config, kinds, f"{args.command} config").items():
+            kind = kinds[key]
+            corpus._typed(value, _STR if kind == _PATH else kind, key)
+            if kind == _PATH and not value:
+                raise ValueError(f"{key} must be non-empty")
+        if config.get("threads", 1) < 1:
+            raise ValueError("threads must be >= 1")
+    except ValueError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from exc
     if args.threads is not None and args.threads < 1:
         raise ConfigError("--threads must be >= 1")
     for flag in _GLOBAL_KEYS:
@@ -123,20 +123,24 @@ def _combine(call, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _command_inputs(command: str, config: dict) -> tuple[list[dict], list[str]]:
-    """The resolved entries of the command's ``_FILES`` key and the paths of every
-    input file its config names, once each required key is known present."""
+def _command_inputs(command: str, config: dict) -> tuple:
+    """The lazy items of the command's ``_FILES`` key (None without one) and the
+    paths of every input file its config names, once its required keys are present."""
     _, _, kinds, required = _COMMANDS[command]
     for key in required:
         if key not in config:
             raise ConfigError(f"missing required config key {key!r}")
-    files = [entry for key in kinds if kinds[key] == _FILES for entry in _input_files(config, key)]
     paths = [config[key] for key in kinds if kinds[key] == _PATH]
-    return files, paths + [entry["path"] for entry in files]
+    for key in kinds:
+        if kinds[key] == _FILES:  # a command has at most one
+            files = _input_files(config, key)
+            return _read_all(key, files), paths + [entry["path"] for entry in files]
+    return None, paths
 
 
 def _input_files(config: dict, key: str) -> list[dict]:
     """Normalize a ``path | [path | {path, ...}]`` entry to per-file dicts with defaults."""
+    entry_keys, _, _, per_line = _ENTRY_KEYS[key]
     entries = config[key]
     if isinstance(entries, str):
         entries = [entries]
@@ -147,7 +151,7 @@ def _input_files(config: dict, key: str) -> list[dict]:
         if not isinstance(entry, dict) or "path" not in entry:
             raise ConfigError(f"{key} entry {entry!r} has no 'path'")
         try:
-            for field, value in corpus._object(entry, _ENTRY_KEYS[key], "entry").items():
+            for field, value in corpus._object(entry, entry_keys, "entry").items():
                 corpus._typed(value, _STR, field)
             path = entry["path"]
             if not path:
@@ -165,47 +169,37 @@ def _input_files(config: dict, key: str) -> list[dict]:
                 corpus._check_language(resolved["language"])
         except ValueError as exc:
             raise ConfigError(f"{key} entry {entry!r}: {exc}") from exc
+        if resolved["language"] is None and not per_line:
+            raise ConfigError(f"no language given for corpus file {path}")
         files.append(resolved)
     return files
 
 
-def _read_all(files: list[dict], read, what: str, check_all: bool):
-    """Chain ``read(entry)`` over the entries; no (source, id) may repeat across files.
+def _read_all(key: str, files: list[dict]):
+    """Chain the items of ``files``, entries of ``key``; no (source, id) may repeat across files.
 
-    ``read`` rejects a repeat within one file, so only entries that share a
-    source can collide, unless an item may name its own source (``check_all``);
-    other streams are passed through unrecorded. A collision is a config error.
+    A reader rejects a repeat within one file, so only entries that share a
+    source can collide, unless an item may name its own source; other streams
+    are passed through unrecorded. A collision is a config error.
     """
+    entry_keys, reader, what, per_line = _ENTRY_KEYS[key]
     sources = collections.Counter(entry["source"] for entry in files)
     first_path: dict[tuple[str, str], str] = {}
     for entry in files:
-        path, items = entry["path"], read(entry)
-        if not check_all and sources[entry["source"]] == 1:
+        path = entry["path"]
+        items = getattr(corpus, reader)(path, **{field: entry[field] for field in entry_keys[1:]})
+        if not per_line and sources[entry["source"]] == 1:
             yield from items
             continue
         for item in items:
-            key = (item.source, item.id)
-            if key in first_path:
+            ident = (item.source, item.id)
+            if ident in first_path:
                 raise ConfigError(
                     f"{path}: duplicate {what} id {item.id!r} for source "
-                    f"{item.source!r}, also in {first_path[key]}"
+                    f"{item.source!r}, also in {first_path[ident]}"
                 )
-            first_path[key] = path
+            first_path[ident] = path
             yield item
-
-
-def _ingest_all(files: list[dict]):
-    for entry in files:
-        # Task records may carry their own language; corpus documents cannot.
-        if entry["language"] is None:
-            raise ConfigError(f"no language given for corpus file {entry['path']}")
-
-    def read(entry):
-        return corpus.ingest(
-            entry["path"], entry["format"], language=entry["language"], source=entry["source"]
-        )
-
-    return _read_all(files, read, "document", check_all=False)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -223,17 +217,17 @@ def _publish(stage: Path, outdir: Path, manifest: dict) -> None:
         os.replace(stage / name, outdir / name)
 
 
-def _cmd_tokenizer_train(config: dict, files: list[dict], out: Path) -> None:
+def _cmd_tokenizer_train(config: dict, docs, out: Path) -> None:
     specials = config.get("special_tokens", list(tokenizer.REQUIRED_SPECIALS))
-    model = _combine(tokenizer.train_bpe, _ingest_all(files), config["vocab_size"], specials)
+    model = _combine(tokenizer.train_bpe, docs, config["vocab_size"], specials)
     tokenizer.save_model(model, out / "tokenizer.json")
 
 
-def _cmd_fertility(config: dict, files: list[dict], out: Path) -> None:
+def _cmd_fertility(config: dict, docs, out: Path) -> None:
     path_a, path_b = config["model_a"], config["model_b"]
     model_a = tokenizer.load_model(path_a)
     model_b = tokenizer.load_model(path_b)
-    words = tokenizer.count_words(_ingest_all(files))
+    words = tokenizer.count_words(docs)
     reports = _combine(tokenizer.fertility, [model_a, model_b], words)
     comparison = {}
     for a, b in zip(reports[::2], reports[1::2]):
@@ -253,7 +247,7 @@ def _cmd_fertility(config: dict, files: list[dict], out: Path) -> None:
     )
 
 
-def _cmd_adapt(config: dict, files: list[dict], out: Path) -> None:
+def _cmd_adapt(config: dict, items, out: Path) -> None:
     old_tok = tokenizer.load_model(config["old_model"])
     new_tok = tokenizer.load_model(config["new_model"])
     old_emb = vocab_adapt.load_embeddings(config["old_embeddings"])
@@ -262,16 +256,10 @@ def _cmd_adapt(config: dict, files: list[dict], out: Path) -> None:
     _write_json(out / "adaptation.json", report.to_json_dict())
 
 
-def _cmd_build_collection(config: dict, files: list[dict], out: Path) -> None:
+def _cmd_build_collection(config: dict, records, out: Path) -> None:
     registry = collection.TemplateRegistry.from_json_file(config["templates"])
     plan = collection.SamplingPlan.from_json_file(config["plan"])
-
-    def read(entry):
-        return corpus.read_task_records(
-            entry["path"], language=entry["language"], source=entry["source"]
-        )
-
-    records = list(_read_all(files, read, "record", check_all=True))
+    records = list(records)  # read outside build_collection, so its time is the build's own
     instances, per_source = _combine(collection.build_collection, registry, records, plan)
     targets = plan.target_totals or {}
     written = {}
@@ -289,7 +277,7 @@ def _cmd_build_collection(config: dict, files: list[dict], out: Path) -> None:
     _write_json(out / "collection_manifest.json", manifest)
 
 
-def _cmd_score(config: dict, files: list[dict], out: Path) -> None:
+def _cmd_score(config: dict, items, out: Path) -> None:
     metric = config["metric"]
     if metric not in _SCORERS:
         raise ConfigError(f"unknown metric {metric!r}")
@@ -304,9 +292,9 @@ def _cmd_score(config: dict, files: list[dict], out: Path) -> None:
 
 
 # command -> (handler, help text, {config key: kind} besides the global keys,
-# required keys in the order they are checked). ``main`` checks and resolves
-# the input files; ``handler(config, files, out)`` gets the resolved entries
-# of its ``_FILES`` key, if any, and writes its artifacts into ``out``.
+# required keys in the order they are checked). ``main`` checks the input files;
+# ``handler(config, items, out)`` gets the lazy items of its ``_FILES`` key, or
+# None, and writes its artifacts into ``out``.
 _COMMANDS = {
     "tokenizer-train": (
         _cmd_tokenizer_train,
@@ -351,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, _, _) in _COMMANDS.items():
         sub = subparsers.add_parser(command, help=help_text)
-        sub.add_argument("--config", type=Path, help="JSON config file")
+        sub.add_argument("--config", type=Path, required=True, help="JSON config file")
         sub.add_argument("--seed", type=int, help="seed recorded in the manifest")
         sub.add_argument(
             "--threads", type=int, help="recorded in the manifest; no command reads it"
@@ -370,15 +358,15 @@ def main(argv=None) -> int:
         config["out"] = str(outdir)
         stage = Path(tempfile.mkdtemp(prefix=".stage-", dir=outdir))
         try:
-            files, paths = _command_inputs(args.command, config)
+            items, paths = _command_inputs(args.command, config)
             checksums = _InputChecksums(paths)
             checksums.start()
             try:
-                _COMMANDS[args.command][0](config, files, stage)
+                _COMMANDS[args.command][0](config, items, stage)
             finally:
                 checksums.join()
         except ConfigError as exc:  # a ConfigError here is about a config value
-            raise ConfigError(f"{args.config}: {exc}") if args.config else exc
+            raise ConfigError(f"{args.config}: {exc}")
         if checksums.error is not None:
             raise checksums.error
         manifest = {

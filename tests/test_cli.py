@@ -368,6 +368,25 @@ class TestAdapt:
             f"(vocab_hash {bound} != {tokenizer.model_hash(other)})\n"
         )
 
+    def test_embeddings_of_another_row_count_name_config(self, tmp_path, capsys):
+        model_path, _ = self.prepare(tmp_path)
+        model = tokenizer.load_model(model_path)
+        rows = np.ones((model.piece_count + 1, 4), dtype=np.float32)
+        emb_path = tmp_path / "long.bin"
+        vocab_adapt.save_embeddings(
+            vocab_adapt.EmbeddingMatrix.from_array(rows, tokenizer.model_hash(model)), emb_path
+        )
+        cfg = write_config(
+            tmp_path / "adapt.json",
+            {"old_model": str(model_path), "new_model": str(model_path),
+             "old_embeddings": str(emb_path)},
+        )
+        assert run("adapt", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: embedding rows ({model.piece_count + 1}) != old vocabulary size "
+            f"({model.piece_count})\n"
+        )
+
     def test_identity_adaptation_byte_identical(self, tmp_path):
         model_path, emb_path = self.prepare(tmp_path)
         cfg = write_config(
@@ -674,6 +693,32 @@ def test_missing_required_key_names_config(tmp_path, capsys, command, key):
     assert capsys.readouterr().err == f"error: {cfg}: missing required config key {key!r}\n"
 
 
+@pytest.mark.parametrize("command", ["tokenizer-train", "fertility"])
+def test_corpus_without_language_names_config_before_reading(tmp_path, capsys, command):
+    # The rule is checked with the other entry rules, before any input is
+    # opened: a missing model is not reported first.
+    config, _ = command_configs(tmp_path)[command]
+    del config["language"]
+    if command == "fertility":
+        config["model_a"] = str(tmp_path / "missing.json")
+    cfg = failed_run_keeps_out(tmp_path, command, config)
+    words = tmp_path / "words.txt"
+    assert capsys.readouterr().err == f"error: {cfg}: no language given for corpus file {words}\n"
+
+
+@pytest.mark.parametrize(
+    "command", ["tokenizer-train", "fertility", "adapt", "build-collection", "score"]
+)
+def test_run_without_config_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as caught:
+        run(command, "--out", out)
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "the following arguments are required: --config" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, key, value, entry",
     [
@@ -847,6 +892,20 @@ class TestBuildCollection:
                 lambda t: [dict(t[0], langauge="ind")],
                 "template 0: template has unknown keys ['langauge']",
             ),
+            (
+                "plan.json",
+                lambda p: {"per_source": {"identity": {"upsample_factor": 0}}},
+                "per_source['identity']: upsample_factor must be >= 1",
+            ),
+            (
+                "plan.json",
+                lambda p: {"per_source": {"identity": {"cap": 0}}},
+                "per_source['identity']: cap must be >= 1 when set",
+            ),
+            ("plan.json", lambda p: dict(p, target_totals={"phase2": -1}),
+             "target totals must be >= 0"),
+            ("templates.json", lambda t: [dict(t[0], id="")],
+             "template 0: template id must be a non-empty string"),
             ("build.json", lambda c: b'{"a": "\xff"}', "invalid UTF-8 at byte 7"),
             ("templates.json", lambda t: b'[\n"\xc3"]', "invalid UTF-8 at byte 3"),
             ("plan.json", lambda p: b"\xfe{}", "invalid UTF-8 at byte 0"),
@@ -854,7 +913,8 @@ class TestBuildCollection:
         ids=[
             "missing-key", "entry-not-object", "duplicate-template-id", "per-source-list",
             "factor-not-int", "unknown-phase", "misspelled-source-key", "misspelled-plan-key",
-            "unknown-template-key", "config-utf8", "templates-utf8", "plan-utf8",
+            "unknown-template-key", "factor-zero", "cap-zero", "negative-target",
+            "empty-template-id", "config-utf8", "templates-utf8", "plan-utf8",
         ],
     )
     def test_malformed_entry_names_file(self, tmp_path, capsys, name, edit, message):
@@ -1021,6 +1081,21 @@ class TestScore:
         out = tmp_path / "out"
         assert run("score", "--config", cfg, "--out", out) == 1
         assert "beta" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_option_value_the_metric_rejects_names_config(self, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            json.dumps({"id": "1", "hypothesis": "a", "references": ["a"]}) + "\n",
+            encoding="utf-8",
+        )
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"metric": "corpus_bleu", "predictions": str(preds), "max_order": 0},
+        )
+        out = tmp_path / "out"
+        assert run("score", "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: max_order must be >= 1\n"
         assert not (out / "report.json").exists()
 
     def test_missing_key_names_config(self, tmp_path, capsys):

@@ -179,6 +179,12 @@ class TestBuildCollection:
         with pytest.raises(PlanError, match="mystery"):
             build_collection(self.registry(), records, plan)
 
+    def test_duplicate_record_id(self):
+        records = [generation_record("1", "x"), generation_record("1", "y")]
+        plan = SamplingPlan(per_source={"gen": SourcePlan()}, seed=0)
+        with pytest.raises(PlanError, match="^duplicate record id '1' in source 'gen'$"):
+            build_collection(self.registry(), records, plan)
+
     def test_empty_registry_for_task(self):
         records = [translation_record("1", "a", "b")]
         plan = SamplingPlan(per_source={"mt": SourcePlan()}, seed=0)

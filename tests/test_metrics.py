@@ -112,6 +112,12 @@ class TestWeightedF1:
         with pytest.raises(ValueError, match="at least one"):
             weighted_f1([])
 
+    def test_duplicate_id(self):
+        # Readers reject a repeat; a caller passing pairs directly must not
+        # have one silently dropped from ``per_example``.
+        with pytest.raises(ValueError, match="^duplicate example id '1'$"):
+            weighted_f1([LabeledPair("1", "A", "A"), LabeledPair("1", "B", "A")])
+
     def test_prediction_only_classes_carry_no_weight(self):
         pairs = [LabeledPair("1", "C", "A"), LabeledPair("2", "A", "A")]
         report = weighted_f1(pairs)
@@ -571,6 +577,9 @@ def malformed_records():
         ("read_likelihood_pairs", "null-score", {"harmful_score": None}, "must be a number"),
         ("read_mc1_items", "non-numeric", {"option_scores": ["x", 0.1]}, "must be a number"),
         ("read_mc1_items", "list-index", {"gold_index": [1]}, "int"),
+        ("read_prediction_pairs", "no-references", {"references": []}, "has no references"),
+        ("read_labeled_pairs", "empty-label", {"gold_label": ""}, "has an empty label"),
+        ("read_mc1_items", "no-options", {"option_scores": []}, "has no option scores"),
     ):
         cases.append((reader, case, dict(READER_RECORDS[reader], id="2", **change), message))
     return [

@@ -220,6 +220,10 @@ class TestTrainBpe:
         with pytest.raises(ValueError, match="pad"):
             tokenizer.train_bpe(docs_from(["abc"]), 300, special_names=["eos", "unk"])
 
+    def test_duplicate_special_names(self):
+        with pytest.raises(ValueError, match="^special token names must be unique$"):
+            tokenizer.train_bpe(docs_from(["abc"]), 300, ["pad", "eos", "unk", "eos"])
+
     def test_extra_special_names(self):
         model = tokenizer.train_bpe(
             docs_from(["abc abc"]), 256 + 4 + 1, special_names=["pad", "eos", "unk", "sep"]
@@ -331,6 +335,22 @@ class TestEncodeDecode:
 # writes as UTF-8 under ``ensure_ascii=False``.
 SPECIAL_NAME_CHARS = st.sampled_from('"\\/\x00\x08\x1f\x7f\x85\u2028é語😀 a')
 
+BASE_PIECES = [b"<pad>", b"<eos>", b"<unk>"] + [bytes([i]) for i in range(256)]
+MERGE_AB = [3 + ord("a"), 3 + ord("b")]
+
+
+def write_model_file(path, pieces=(*BASE_PIECES, b"ab"), merges=(MERGE_AB,), specials=None):
+    """A model file written by hand, so that it may break an invariant no
+    trained model can; by default it holds one valid merge, ``ab``."""
+    payload = {
+        "version": 1,
+        "special_tokens": specials or {"pad": 0, "eos": 1, "unk": 2},
+        "pieces": [base64.b64encode(piece).decode("ascii") for piece in pieces],
+        "merges": list(merges),
+    }
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
 
 class TestSerialization:
     def test_save_load_round_trip(self, tmp_path):
@@ -400,17 +420,37 @@ class TestSerialization:
         # Encoding splits text at whitespace before it merges, so a learned
         # piece holding a whitespace byte could never be produced. No model
         # with one can be built, so the file is written by hand.
-        pieces = [b"<pad>", b"<eos>", b"<unk>"] + [bytes([i]) for i in range(256)]
-        payload = {
-            "version": 1,
-            "special_tokens": {"pad": 0, "eos": 1, "unk": 2},
-            "pieces": [base64.b64encode(p).decode("ascii") for p in pieces + [b"a" + bytes([ws])]],
-            "merges": [[3 + ord("a"), 3 + ws]],
-        }
-        path = tmp_path / "spaced.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path = write_model_file(
+            tmp_path / "spaced.json", [*BASE_PIECES, b"a" + bytes([ws])], [[3 + ord("a"), 3 + ws]]
+        )
         with pytest.raises(ValueError, match="spaced.json: piece 259 holds an ASCII whitespace byte"):
             tokenizer.load_model(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"specials": {"pad": 0, "eos": 1, "unk": 3}},
+             "special token ids must be exactly 0..len(specials)-1"),
+            ({"pieces": BASE_PIECES[:-1], "merges": []},
+             "model must contain the 256 single-byte base pieces"),
+            ({"merges": []}, "merge count must equal the number of learned pieces"),
+            ({"merges": [[0, MERGE_AB[1]]]}, "merge 0 references undefined or special ids"),
+            ({"merges": [[MERGE_AB[0], 259]]}, "merge 0 references undefined or special ids"),
+            ({"pieces": [*BASE_PIECES, b"ba"]}, "piece 259 does not equal its merge concatenation"),
+            ({"pieces": [b"", *BASE_PIECES[1:], b"ab"]}, "pieces must be non-empty byte sequences"),
+            ({"pieces": [b"<pad>", *BASE_PIECES[:1], *BASE_PIECES[2:], b"ab"]},
+             "piece list contains duplicates"),
+        ],
+        ids=[
+            "special-ids", "missing-byte-piece", "merge-count", "merge-names-special",
+            "merge-names-undefined", "not-the-concatenation", "empty-piece", "duplicate-piece",
+        ],
+    )
+    def test_load_rejects_broken_invariant_naming_file(self, tmp_path, fields, message):
+        path = write_model_file(tmp_path / "broken.json", **fields)
+        with pytest.raises(ValueError) as caught:
+            tokenizer.load_model(path)
+        assert str(caught.value) == f"{path}: {message}"
 
     def test_fields_are_read_only(self):
         specials = {"pad": 0, "eos": 1, "unk": 2}

@@ -119,6 +119,14 @@ class TestFileFormat:
         with pytest.raises(EmbeddingFormatError, match="dims=0"):
             load_embeddings(path)
 
+    def test_zero_rows_rejected(self, tmp_path):
+        import struct
+
+        path = tmp_path / "zero.bin"
+        path.write_bytes(struct.pack("<4sII", b"EMB1", 0, 2) + b"0" * 32)
+        with pytest.raises(EmbeddingFormatError, match="zero.bin: rows=0 at byte offset 4$"):
+            load_embeddings(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
