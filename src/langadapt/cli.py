@@ -6,12 +6,13 @@ directory inside the output directory. Success publishes them: the staged
 files' checksums go into ``manifest.json``, the earlier manifest is removed,
 and every file is renamed into the output directory, the manifest last. A
 failed run leaves the output directory as it was, or without a manifest if
-renaming failed; a killed run may leave a stage directory, never a truncated
-artifact under its real name. Manifests embed the resolved config, input
-checksums, the seed, and the toolkit version, so identical configs and
-inputs produce identical output checksums. The manifest checksums every
-file the command's config keys name, on one background thread while the
-command runs.
+renaming failed; an output directory it made, and the parents it made, it
+removes again while they are empty. A killed run may leave a stage
+directory, never a truncated artifact under its real name. Manifests embed
+the resolved config, input checksums, the seed, and the toolkit version, so
+identical configs and inputs produce identical output checksums. The
+manifest checksums every file the command's config keys name, on one
+background thread while the command runs.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ def _combine(call, *args, **kwargs):
     ValueError naming no file is raised again as a ConfigError, naming the config."""
     try:
         return call(*args, **kwargs)
-    except (ConfigError, corpus.IngestError):  # these name their files
-        raise
+    except (ConfigError, corpus.IngestError, vocab_adapt.EmbeddingFormatError):
+        raise  # these name their files
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -250,7 +251,7 @@ def _cmd_fertility(config: dict, docs, out: Path) -> None:
 def _cmd_adapt(config: dict, items, out: Path) -> None:
     old_tok = tokenizer.load_model(config["old_model"])
     new_tok = tokenizer.load_model(config["new_model"])
-    old_emb = vocab_adapt.load_embeddings(config["old_embeddings"])
+    old_emb = vocab_adapt.open_embeddings(config["old_embeddings"])
     new_emb, report = _combine(vocab_adapt.adapt_embeddings, old_tok, old_emb, new_tok)
     vocab_adapt.save_embeddings(new_emb, out / "embeddings.bin")
     _write_json(out / "adaptation.json", report.to_json_dict())
@@ -351,14 +352,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     stage: Path | None = None
+    made: list[Path] = []
     try:
         config = _resolve_config(args)
         outdir = Path(config["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
         config["out"] = str(outdir)
-        stage = Path(tempfile.mkdtemp(prefix=".stage-", dir=outdir))
         try:
             items, paths = _command_inputs(args.command, config)
+            made = [path for path in (outdir, *outdir.parents) if not path.exists()]
+            outdir.mkdir(parents=True, exist_ok=True)
+            stage = Path(tempfile.mkdtemp(prefix=".stage-", dir=outdir))
             checksums = _InputChecksums(paths)
             checksums.start()
             try:
@@ -377,12 +380,18 @@ def main(argv=None) -> int:
             "inputs": checksums.digests,
         }
         _publish(stage, outdir, manifest)
+        made = []  # a published run keeps its directories
     except Exception as exc:  # distilled to an exit code
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         if stage is not None:
             shutil.rmtree(stage, ignore_errors=True)
+        for path in made:  # deepest first; a failed run removes what it made, if empty
+            try:
+                path.rmdir()
+            except OSError:
+                break
     return 0
 
 

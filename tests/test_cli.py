@@ -457,6 +457,49 @@ class TestAdapt:
             f"error: {emb_path}: non-finite value in embedding row 17 at byte offset {offset}\n"
         )
 
+    def test_non_finite_row_in_the_last_block_names_file_and_offset(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Blocks of 10 rows: the last of the model's 266 rows is in the 27th.
+        model_path, emb_path = self.prepare(tmp_path)
+        rows = tokenizer.load_model(model_path).piece_count
+        raw = bytearray(emb_path.read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()
+        emb_path.write_bytes(bytes(raw))
+        cfg = write_config(
+            tmp_path / "adapt.json",
+            {"old_model": str(model_path), "new_model": str(model_path),
+             "old_embeddings": str(emb_path)},
+        )
+        monkeypatch.setattr(vocab_adapt, "_READ_BLOCK_BYTES", 10 * 4 * 4)
+        assert run("adapt", "--config", cfg, "--out", tmp_path / "out") == 1
+        assert rows == 266
+        assert capsys.readouterr().err == (
+            f"error: {emb_path}: non-finite value in embedding row 265 "
+            f"at byte offset {44 + 265 * 4 * 4}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_binding_error_comes_before_a_non_finite_row(self, tmp_path, capsys):
+        model_path, emb_path = self.prepare(tmp_path)
+        raw = bytearray(emb_path.read_bytes())
+        raw[44:48] = np.float32(np.nan).tobytes()
+        emb_path.write_bytes(bytes(raw))
+        other = tokenizer.train_bpe(
+            [CorpusDocument(id="0", text="kopi susu kopi", language="ind", source="x")], 262
+        )
+        other_path = tmp_path / "other.json"
+        tokenizer.save_model(other, other_path)
+        cfg = write_config(
+            tmp_path / "adapt.json",
+            {"old_model": str(other_path), "new_model": str(model_path),
+             "old_embeddings": str(emb_path)},
+        )
+        assert run("adapt", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: embedding matrix is not bound to the given old tokenizer"
+        )
+
     def test_hash_mismatch_exits_nonzero(self, tmp_path, capsys):
         model_path, emb_path = self.prepare(tmp_path)
         other_docs = [
@@ -945,7 +988,7 @@ class TestBuildCollection:
         assert capsys.readouterr().err == (
             f"error: {cfg}: more than {sys.maxsize} instances after upsampling\n"
         )
-        assert os.listdir(out) == []
+        assert not out.exists()  # the failed run made it, so it removed it
 
     def test_default_plan_factors(self):
         plan = collection.SamplingPlan.from_json_file(DATA / "human_centric" / "plan.json")
@@ -1296,6 +1339,35 @@ class TestPublish:
         assert sorted(os.listdir(out)) == [n for n in self.BUILT if n != "manifest.json"]
 
 
+class TestFailedRunOut:
+    """A failed run removes the ``--out`` directories it made and no others."""
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"metric": "chrf_pp"}, "cfg.json: missing required config key 'predictions'"),
+            ({"metric": "chrf_pp", "predictions": "missing.jsonl"}, "missing.jsonl"),
+        ],
+        ids=["missing-key", "missing-predictions"],
+    )
+    def test_new_out_and_its_parents_removed(self, tmp_path, monkeypatch, capsys, config, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "old").mkdir()
+        write_config(tmp_path / "cfg.json", config)
+        for out in ("new/deep/out", "old/new/out"):
+            assert run("score", "--config", "cfg.json", "--out", out) == 1
+            assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "old"]
+        assert os.listdir(tmp_path / "old") == []
+
+    def test_existing_empty_out_kept(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_config(tmp_path / "cfg.json", {"metric": "chrf_pp", "predictions": "nope"})
+        assert run("score", "--config", cfg, "--out", out) == 1
+        assert out.is_dir() and os.listdir(out) == []
+
+
 class TestInputChecksums:
     """Input checksums come from one background thread, joined on every exit."""
 
@@ -1380,7 +1452,7 @@ class TestInputChecksums:
         config, out = self.train_config(tmp_path, [toy_corpus]), tmp_path / "o"
         assert run("tokenizer-train", "--config", config, "--out", out) == 1
         assert capsys.readouterr().err == f"error: {toy_corpus}: vanished\n"
-        assert sorted(os.listdir(out)) == []
+        assert not out.exists()  # the failed run made it, so it removed it
 
     def test_command_error_wins_over_thread_error(self, tmp_path, toy_corpus, monkeypatch, capsys):
         def fail(path):

@@ -17,6 +17,7 @@ from langadapt.vocab_adapt import (
     VocabBindingError,
     adapt_embeddings,
     load_embeddings,
+    open_embeddings,
     save_embeddings,
 )
 
@@ -155,9 +156,19 @@ class TestFileFormat:
                 matrix = load_embeddings(path)
             except EmbeddingFormatError as exc:
                 assert str(exc).startswith(f"{path}: "), str(exc)
+                if "non-finite" in str(exc):  # rows are read by adaptation, not when opened
+                    assert open_embeddings(path).vocab_hash == raw[12:44].decode()
+                else:
+                    with pytest.raises(EmbeddingFormatError) as opened:
+                        open_embeddings(path)
+                    assert str(opened.value) == str(exc)
                 return
+            opened = open_embeddings(path)
         assert len(raw) == 4 + 4 + 4 + 32 + matrix.data.nbytes
         assert matrix.data.dtype == np.float32 and matrix.data.shape == (matrix.rows, matrix.dims)
+        assert (opened.rows, opened.dims, opened.vocab_hash) == (
+            matrix.rows, matrix.dims, matrix.vocab_hash
+        )
 
     def test_save_accepts_float32_max_rows(self, tmp_path):
         big = np.finfo(np.float32).max
@@ -433,6 +444,114 @@ class TestAdaptEmbeddings:
         assert np.array_equal(out1.data, out2.data)
 
 
+@pytest.fixture(scope="module")
+def small_models():
+    """An old model, a new one with the same specials, and a new one with one
+    more special, which takes the fallback row."""
+    rng = random.Random(400)
+    old = tokenizer.train_bpe(docs_from(random_texts(rng, 60, 30)), 280)
+    texts = random_texts(rng, 60, 30, alphabet="abcdefghij")
+    new = tokenizer.train_bpe(docs_from(texts), 275)
+    with_cls = tokenizer.train_bpe(docs_from(texts), 276, ["pad", "eos", "unk", "cls"])
+    return old, new, with_cls
+
+
+def block_of(rows, dims):
+    """Patch adaptation to read the old matrix ``rows`` rows at a time."""
+    return mock.patch.object(vocab_adapt, "_READ_BLOCK_BYTES", rows * dims * 4)
+
+
+class TestStreamedAdaptation:
+    """Adaptation reads the old matrix once, block by block, from memory or a file."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from([1, 2, 3]),
+        block_rows=st.sampled_from([1, 3, None]),  # None: the whole matrix
+        fallback=st.booleans(),
+    )
+    def test_file_and_memory_give_the_same_bytes(
+        self, small_models, seed, dims, block_rows, fallback
+    ):
+        old, new, with_cls = small_models
+        new = with_cls if fallback else new
+        rng = np.random.default_rng(seed)
+        shape = (old.piece_count, dims)
+        data = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        old_emb = EmbeddingMatrix.from_array(data, tokenizer.model_hash(old))
+        expected, expected_report = adapt_embeddings(old, old_emb, new)  # one block
+        assert expected_report.averaged > 0 and (expected_report.fallback > 0) == fallback
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "old.bin"
+            save_embeddings(old_emb, path)
+            sources = (old_emb, open_embeddings(path))
+            with block_of(block_rows or old.piece_count, dims):
+                results = [adapt_embeddings(old, source, new) for source in sources]
+        for new_emb, report in results:
+            assert new_emb.data.tobytes() == expected.data.tobytes()
+            assert report == expected_report
+
+    @pytest.mark.parametrize("source", ["memory", "file"])
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_fallback_row_sums_in_row_order(self, tmp_path, small_models, dims, block_rows, source):
+        # In row order 1e20 - 1e20 cancels before the later rows come; a
+        # pairwise sum, numpy's over axis 0 at width 1, adds some of them to
+        # 1e20 first and loses them.
+        old, _, new = small_models
+        data = np.random.default_rng(11).standard_normal((old.piece_count, dims), dtype=np.float32)
+        data[0], data[1] = 1e20, -1e20
+        total = np.zeros(dims, dtype=np.float64)
+        for row in data:
+            total += row
+        expected = (total / len(data)).astype(np.float32)
+        old_emb = EmbeddingMatrix.from_array(data, tokenizer.model_hash(old))
+        if source == "file":
+            save_embeddings(old_emb, tmp_path / "old.bin")
+            old_emb = open_embeddings(tmp_path / "old.bin")
+        with block_of(block_rows or old.piece_count, dims):
+            new_emb, report = adapt_embeddings(old, old_emb, new)
+        fallback_ids = [i for i, kind in report.per_piece_provenance.items() if kind == "fallback"]
+        assert len(fallback_ids) == report.fallback >= 1
+        for new_id in fallback_ids:
+            assert new_emb.data[new_id].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "fault, error, message",
+        [
+            ("length", EmbeddingFormatError, "length mismatch at byte offset"),
+            ("hash", VocabBindingError, "embedding matrix is not bound"),
+            ("rows", VocabBindingError, "embedding rows"),
+            (None, EmbeddingFormatError, "non-finite value in embedding row"),
+        ],
+    )
+    def test_header_then_binding_then_rows(self, tmp_path, small_models, fault, error, message):
+        # Every file holds a NaN in its last row; only a file without another
+        # fault fails on it. A file of the wrong length is bound to another
+        # tokenizer too.
+        old, new, _ = small_models
+        rows = old.piece_count + (fault == "rows")
+        vocab_hash = "f" * 32 if fault in ("length", "hash") else tokenizer.model_hash(old)
+        path = tmp_path / "old.bin"
+        save_embeddings(EmbeddingMatrix.from_array(np.ones((rows, 4)), vocab_hash), path)
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(raw) + b"\0" * (fault == "length"))
+        with pytest.raises(error, match=message), block_of(3, 4):
+            adapt_embeddings(old, open_embeddings(path), new)
+
+    def test_file_shrunk_after_opening_names_offset(self, tmp_path, small_models):
+        old, new, _ = small_models
+        path = tmp_path / "old.bin"
+        save_embeddings(matrix_for(old), path)
+        old_emb = open_embeddings(path)
+        path.write_bytes(path.read_bytes()[:-4])
+        end = path.stat().st_size
+        with pytest.raises(EmbeddingFormatError, match=f"truncated at byte offset {end}$"):
+            adapt_embeddings(old, old_emb, new)
+
+
 def traced_peak(fn, *args):
     """Return ``fn(*args)`` and the peak bytes it allocated above the baseline."""
     tracemalloc.start()
@@ -446,7 +565,8 @@ def traced_peak(fn, *args):
 
 
 class TestMemory:
-    """The old matrix is held once: no float64 shadow, no load or save copies.
+    """The old matrix is held once: no float64 shadow, no load or save copies;
+    adapting from a file holds one block of it and the rows averaging reads.
 
     Saving allocates no array as large as the matrix, not even a finiteness mask.
     """
@@ -455,6 +575,7 @@ class TestMemory:
         rng = np.random.default_rng(9)
         data = rng.standard_normal((old_model.piece_count, 512), dtype=np.float32)
         old_emb = EmbeddingMatrix.from_array(data, tokenizer.model_hash(old_model))
+        old_model._rank_arrays  # the encoder's lookups, built on first use, are not adaptation's
         path = tmp_path / "emb.bin"
         _, save_peak = traced_peak(save_embeddings, old_emb, path)
         loaded, load_peak = traced_peak(load_embeddings, path)
@@ -463,3 +584,14 @@ class TestMemory:
         # numpy's fixed 64 KB cast buffer for the float64 row sums is 7% of this 1 MB matrix
         assert save_peak < 0.1 * data.nbytes
         assert adapt_peak < new_emb.data.nbytes + 0.5 * data.nbytes
+
+    def test_adapting_from_a_file_holds_no_old_matrix(self, tmp_path, old_model, new_model):
+        rng = np.random.default_rng(12)
+        data = rng.standard_normal((old_model.piece_count, 1024), dtype=np.float32)
+        path = tmp_path / "emb.bin"
+        save_embeddings(EmbeddingMatrix.from_array(data, tokenizer.model_hash(old_model)), path)
+        old_model._rank_arrays
+        old_emb = open_embeddings(path)
+        with mock.patch.object(vocab_adapt, "_READ_BLOCK_BYTES", data.nbytes // 16):  # 17 blocks
+            (new_emb, _), peak = traced_peak(adapt_embeddings, old_model, old_emb, new_model)
+        assert peak < new_emb.data.nbytes + 0.25 * data.nbytes
