@@ -252,8 +252,9 @@ def _cmd_adapt(config: dict, items, out: Path) -> None:
     old_tok = tokenizer.load_model(config["old_model"])
     new_tok = tokenizer.load_model(config["new_model"])
     old_emb = vocab_adapt.open_embeddings(config["old_embeddings"])
-    new_emb, report = _combine(vocab_adapt.adapt_embeddings, old_tok, old_emb, new_tok)
-    vocab_adapt.save_embeddings(new_emb, out / "embeddings.bin")
+    _, report = _combine(
+        vocab_adapt.adapt_embeddings, old_tok, old_emb, new_tok, out / "embeddings.bin"
+    )
     _write_json(out / "adaptation.json", report.to_json_dict())
 
 

@@ -211,18 +211,22 @@ def _fbeta(precision: float, recall: float, beta: float) -> float:
 
 
 # Pairs are scored in consecutive batches of at most this many characters,
-# counting each text as its length plus one, so that memory follows one batch
-# (a batch's arrays take about 1 MB); a pair above the budget is a batch of
-# its own. Larger batches were no faster on the benchmark's inputs.
+# counting each text as its length plus one, so that memory follows one batch;
+# a pair above the budget is a batch of its own. chrF++'s arrays hold
+# characters, about 1 MB a batch, and larger batches were no faster on the
+# benchmark's inputs. BLEU's hold words, about one per seven characters, so
+# its batches take four times the characters for fewer numpy calls.
 _CHRF_BATCH_CHARS = 8192
+_BLEU_BATCH_CHARS = 32768
 
 
-def _chrf_cost(pair: PredictionPair) -> int:
+def _pair_chars(pair: PredictionPair) -> int:
     return len(pair.hypothesis) + 1 + sum(len(ref) + 1 for ref in pair.references)
 
 
-def _batch_texts(pairs: Sequence[PredictionPair], split):
-    """Per batch of pairs, each pair's hypothesis then its references, as words.
+def _batch_texts(pairs: Sequence[PredictionPair], split, budget: int):
+    """Per batch of at most ``budget`` characters of pairs, each pair's
+    hypothesis then its references, as words.
 
     Yields ``(spans, texts, pair_of, codes)``: the range of text indices of
     each pair (its hypothesis first), each text's ``split`` words, each
@@ -231,7 +235,7 @@ def _batch_texts(pairs: Sequence[PredictionPair], split):
     """
     import numpy as np  # not at the top: see collection.subsample_to_target
 
-    for batch in _batches(pairs, _chrf_cost, _CHRF_BATCH_CHARS):
+    for batch in _batches(pairs, _pair_chars, budget):
         spans: list[range] = []
         texts: list[list[str]] = []
         for pair in batch:
@@ -314,7 +318,7 @@ def _chrf_scores(pairs: Sequence[PredictionPair], char_order: int, word_order: i
 
     # Character n-grams skip whitespace; word n-grams come from whitespace
     # tokenization.
-    for spans, words, pair_of, word_codes in _batch_texts(pairs, str.split):
+    for spans, words, pair_of, word_codes in _batch_texts(pairs, str.split, _CHRF_BATCH_CHARS):
         chars = ["".join(tokens) for tokens in words]
         # JSON "\ud800" decodes to a lone surrogate, which strict UTF-32 rejects.
         char_codes = "".join(chars).encode("utf-32-le", "surrogatepass")
@@ -385,7 +389,7 @@ def _bleu_stats(pairs: Sequence[PredictionPair], max_order: int):
     parts = []
     hyp_lens: list[int] = []
     ref_lens: list[int] = []
-    for spans, texts, pair_of, codes in _batch_texts(pairs, _bleu_words):
+    for spans, texts, pair_of, codes in _batch_texts(pairs, _bleu_words, _BLEU_BATCH_CHARS):
         sizes = list(map(len, texts))
         for hyp, *refs in spans:
             hyp_lens.append(sizes[hyp])

@@ -11,12 +11,15 @@ row order.
 Adaptation reads the old matrix once, in row blocks of at most
 ``_READ_BLOCK_BYTES`` (at least one row): from an :class:`EmbeddingMatrix`
 the blocks are views, and from an :class:`EmbeddingFile` they are read into
-one reused buffer and checked for finite values. Copied rows go straight
-into the new matrix and only the rows that averaging needs are kept, so the
-peak is the new matrix, one block and those rows, never the whole old
-matrix. A matrix checks its dtype, shape, hash and values when made, so its
-blocks are not checked again. A file fails on its header or length when
-opened, then on its binding to the old tokenizer, then on its first
+one reused buffer and checked for finite values. It writes the new matrix
+straight into its file: each block's copied rows go to their offsets as the
+block is read, and only the rows that averaging needs are kept, so the peak
+is one block and those rows, never a whole old or new matrix. The averaged
+and fallback rows follow the pass, and the header comes last, so a file
+left partly written fails to open on its magic; a failed adaptation removes
+its file. A matrix checks its dtype, shape, hash and values when made, so
+its blocks are not checked again. A file fails on its header or length
+when opened, then on its binding to the old tokenizer, then on its first
 non-finite row.
 """
 
@@ -118,9 +121,12 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
     """
     EmbeddingMatrix(matrix.data, matrix.vocab_hash)  # checked again: data stays writable
     with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(_MAGIC, matrix.rows, matrix.dims))
-        handle.write(matrix.vocab_hash.encode("ascii"))
+        handle.write(_header(matrix.rows, matrix.dims, matrix.vocab_hash))
         handle.write(np.ascontiguousarray(matrix.data, dtype="<f4").data)
+
+
+def _header(rows: int, dims: int, vocab_hash: str) -> bytes:
+    return _HEADER.pack(_MAGIC, rows, dims) + vocab_hash.encode("ascii")
 
 
 @dataclass(frozen=True)
@@ -194,12 +200,13 @@ def load_embeddings(path) -> EmbeddingMatrix:
 def _blocks(old_emb: EmbeddingMatrix | EmbeddingFile, step: int):
     """Yield (first row, rows) for consecutive blocks of ``step`` rows of ``old_emb``.
 
-    A file's blocks are read into one buffer, which the next block overwrites,
-    and each is checked for finite values as it is read.
+    Blocks are C-contiguous little-endian float32. A matrix's are views where
+    its data already is so. A file's are read into one buffer, which the next
+    block overwrites, and each is checked for finite values as it is read.
     """
     if isinstance(old_emb, EmbeddingMatrix):
         for start in range(0, old_emb.rows, step):
-            yield start, old_emb.data[start : start + step]
+            yield start, np.ascontiguousarray(old_emb.data[start : start + step], dtype="<f4")
         return
     buffer = np.empty((min(step, old_emb.rows), old_emb.dims), dtype="<f4")
     with open(old_emb.path, "rb") as handle:
@@ -245,15 +252,18 @@ def adapt_embeddings(
     old_tok: TokenizerModel,
     old_emb: EmbeddingMatrix | EmbeddingFile,
     new_tok: TokenizerModel,
-) -> tuple[EmbeddingMatrix, AdaptationReport]:
-    """Remap ``old_emb`` from ``old_tok``'s vocabulary to ``new_tok``'s.
+    path,
+) -> tuple[EmbeddingFile, AdaptationReport]:
+    """Remap ``old_emb`` from ``old_tok``'s vocabulary to ``new_tok``'s, into the file ``path``.
 
     ``old_emb`` is a matrix in memory or a file from :func:`open_embeddings`;
-    either is read once, block by block, and gives the same bytes. Row
-    computations are independent of each other and of id order; copied rows
-    are bit-exact, averaged rows accumulate in float64 left-to-right over the
-    encoded subtoken order before rounding to float32, and the fallback row
-    accumulates in float64 in row order.
+    either is read once, block by block, and gives the same bytes. The new
+    matrix is written in the format of :func:`save_embeddings` and never held
+    whole; :func:`load_embeddings` reads it back. On any failure ``path`` is
+    removed. Row computations are independent of each other and of id order;
+    copied rows are bit-exact, averaged rows accumulate in float64
+    left-to-right over the encoded subtoken order before rounding to float32,
+    and the fallback row accumulates in float64 in row order.
     """
     old_hash = model_hash(old_tok)
     if old_emb.vocab_hash != old_hash:
@@ -266,6 +276,9 @@ def adapt_embeddings(
             f"embedding rows ({old_emb.rows}) != old vocabulary size "
             f"({old_tok.piece_count})"
         )
+    if isinstance(old_emb, EmbeddingFile) and os.path.exists(path):
+        if os.path.samefile(path, old_emb.path):
+            raise ValueError(f"{path}: adaptation cannot overwrite the file it reads")
 
     old_index = {piece: i for i, piece in enumerate(old_tok.pieces) if i >= old_tok.byte_offset}
     new_special_names = {i: name for name, i in new_tok.special_tokens.items()}
@@ -300,25 +313,66 @@ def adapt_embeddings(
             fallback_ids.append(new_id)
             provenance[new_id] = "fallback"
 
-    # One pass over the old rows: each block fills the new rows copied from it
-    # and the stash of the rows that averaging reads, a row at a time, so with
-    # no temporary as large as a block. Both lists of (old id, row) are sorted
-    # by old id, so a block's share is one slice.
-    dims = old_emb.dims
-    new_data = np.empty((new_tok.piece_count, dims), dtype=np.float32)
+    new_file = EmbeddingFile(path, new_tok.piece_count, old_emb.dims, model_hash(new_tok))
+    handle = open(path, "wb", buffering=0)
+    try:
+        with handle:
+            _write_rows(handle, old_emb, new_file, sorted(copies), averaged, fallback_ids)
+    except BaseException:
+        if os.path.isfile(path):  # never a device that was opened
+            os.unlink(path)
+        raise
+
+    report = AdaptationReport(
+        copied=len(copies),
+        averaged=len(averaged),
+        fallback=len(fallback_ids),
+        per_piece_provenance=provenance,
+    )
+    return new_file, report
+
+
+def _consecutive(pair: tuple[int, tuple[int, int]]) -> tuple[int, int]:
+    # Constant along a run of (old id, new id) pairs that both step by one.
+    k, (old_id, new_id) = pair
+    return old_id - k, new_id - k
+
+
+def _write_rows(handle, old_emb, new_file: EmbeddingFile, copies, averaged, fallback_ids) -> None:
+    """Write ``new_file``'s rows through ``handle``, then its header.
+
+    Until the header is written the file holds no magic, so a partial file
+    fails to open. The rows are finite by construction:
+    copied ones come from checked blocks, and a float64 mean of finite
+    float32 values rounds to one.
+    """
+    dims = new_file.dims
+
+    def put(new_id: int, rows: np.ndarray) -> None:
+        _write_at(handle, rows, _DATA_OFFSET + new_id * dims * 4)
+
+    # One pass over the old rows: each block writes the new rows copied from
+    # it, a run of consecutive ids per call, and fills the stash of the rows
+    # that averaging reads a row at a time, so with no temporary as large as
+    # a block. Both lists of (old id, ...) are sorted by old id, so a block's
+    # share is one slice.
     stash_ids = sorted({old_id for ids in averaged.values() for old_id in ids})
     slot = {old_id: i for i, old_id in enumerate(stash_ids)}
     stash = np.empty((len(stash_ids), dims), dtype=np.float32)
-    targets = ((new_data, sorted(copies)), (stash, list(slot.items())))
+    stashed = list(slot.items())
     step = max(1, _READ_BLOCK_BYTES // (4 * dims))
     # Row 0 holds the running total; np.add.accumulate adds strictly in row
     # order at every width, where a sum over axis 0 is pairwise at width 1.
     sums = np.zeros((min(step, old_emb.rows) + 1, dims)) if fallback_ids else None
     for start, block in _blocks(old_emb, step):
-        for dest, rows in targets:
-            lo, hi = (bisect_left(rows, (old_id,)) for old_id in (start, start + len(block)))
-            for old_id, row in rows[lo:hi]:
-                dest[row] = block[old_id - start]
+        lo, hi = (bisect_left(copies, (old_id,)) for old_id in (start, start + len(block)))
+        for _, group in groupby(enumerate(copies[lo:hi]), _consecutive):
+            group = [pair for _, pair in group]
+            old_id, new_id = group[0]
+            put(new_id, block[old_id - start : old_id - start + len(group)])
+        lo, hi = (bisect_left(stashed, (old_id,)) for old_id in (start, start + len(block)))
+        for old_id, row in stashed[lo:hi]:
+            stash[row] = block[old_id - start]
         if sums is not None:
             run = sums[: len(block) + 1]
             run[1:] = block
@@ -329,14 +383,21 @@ def adapt_embeddings(
         acc = np.zeros(dims, dtype=np.float64)
         for token_id in subtokens:
             acc += stash[slot[token_id]]
-        new_data[new_id] = acc / len(subtokens)
+        put(new_id, (acc / len(subtokens)).astype("<f4"))
     if fallback_ids:
-        new_data[fallback_ids] = sums[0] / old_emb.rows
+        mean = (sums[0] / old_emb.rows).astype("<f4")
+        for new_id in fallback_ids:
+            put(new_id, mean)
+    _write_at(handle, _header(new_file.rows, dims, new_file.vocab_hash), 0)
 
-    report = AdaptationReport(
-        copied=len(copies),
-        averaged=len(averaged),
-        fallback=len(fallback_ids),
-        per_piece_provenance=provenance,
-    )
-    return EmbeddingMatrix.from_array(new_data, model_hash(new_tok)), report
+
+def _write_at(handle, data, offset: int) -> None:
+    """Write all of ``data`` at ``offset`` of the unbuffered file ``handle``.
+
+    One positioned write, with no seek and no copy, takes the whole of it
+    unless the disk fills up.
+    """
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(handle.fileno(), view, offset)
+        view, offset = view[written:], offset + written

@@ -159,7 +159,7 @@ def test_criterion_04_bpe_oracle_equivalence():
         assert list(model.merges) == expected_merges
 
 
-def test_criterion_05_adaptation_oracle():
+def test_criterion_05_adaptation_oracle(tmp_path):
     with criterion(5, "500->300 adaptation matches brute-force re-averaging"):
         rng = random.Random(500)
 
@@ -181,7 +181,9 @@ def test_criterion_05_adaptation_oracle():
             generator.standard_normal((500, 8), dtype=np.float32),
             tokenizer.model_hash(old_model),
         )
-        new_emb, report = vocab_adapt.adapt_embeddings(old_model, old_emb, new_model)
+        path = tmp_path / "new.bin"
+        _, report = vocab_adapt.adapt_embeddings(old_model, old_emb, new_model, path)
+        new_emb = vocab_adapt.load_embeddings(path)
 
         max_error = 0.0
         averaged_rows = 0
@@ -203,8 +205,9 @@ def test_criterion_05_adaptation_oracle():
         assert averaged_rows > 0
         assert max_error < 1e-6
 
-        identical, identity_report = vocab_adapt.adapt_embeddings(old_model, old_emb, old_model)
-        assert identical.data.tobytes() == old_emb.data.tobytes()
+        identity = tmp_path / "identity.bin"
+        _, identity_report = vocab_adapt.adapt_embeddings(old_model, old_emb, old_model, identity)
+        assert vocab_adapt.load_embeddings(identity).data.tobytes() == old_emb.data.tobytes()
         assert identity_report.copied == 500
         assert report.copied + report.averaged + report.fallback == 300
 

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -479,6 +481,18 @@ class TestAdapt:
             f"at byte offset {44 + 265 * 4 * 4}\n"
         )
         assert not (tmp_path / "out").exists()
+
+    def test_failed_write_prints_one_error_and_keeps_out(self, tmp_path, monkeypatch, capsys):
+        # The header is the new file's last write; a full disk there fails the run.
+        model_path, emb_path = self.prepare(tmp_path)
+        full = OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(vocab_adapt, "_header", mock.Mock(side_effect=full))
+        failed_run_keeps_out(
+            tmp_path, "adapt",
+            {"old_model": str(model_path), "new_model": str(model_path),
+             "old_embeddings": str(emb_path)},
+        )
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
     def test_binding_error_comes_before_a_non_finite_row(self, tmp_path, capsys):
         model_path, emb_path = self.prepare(tmp_path)

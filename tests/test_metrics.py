@@ -317,7 +317,7 @@ class TestBleuStatistics:
         pairs=bleu_pairs(),
         max_order=st.integers(1, 6),
         smoothing=st.sampled_from([metrics.SMOOTHING_NONE, metrics.SMOOTHING_ADD_EPS_EXP]),
-        budget=st.sampled_from([1, 24, 96, metrics._CHRF_BATCH_CHARS]),
+        budget=st.sampled_from([1, 24, 96, metrics._BLEU_BATCH_CHARS]),
     )
     @example(pairs=[prediction("1", "", "")], max_order=4, smoothing="none", budget=1)
     @example(
@@ -333,16 +333,27 @@ class TestBleuStatistics:
     def test_equals_counter_oracle(self, pairs, max_order, smoothing, budget):
         # Small budgets make the drawn lists cross batch boundaries; budget 1
         # puts every pair above it, in a batch of its own.
-        with mock.patch.object(metrics, "_CHRF_BATCH_CHARS", budget):
+        with mock.patch.object(metrics, "_BLEU_BATCH_CHARS", budget):
             self.assert_equals_counter_oracle(pairs, max_order, smoothing)
 
     def test_batches_cross_the_budget_equal_counter_oracle(self):
         rng = random.Random(24)
         pairs = random_words_pairs(rng, 150, WORDS, 1, 40)
-        long_text = " ".join(rng.choice(WORDS) for _ in range(2000))
+        long_text = " ".join(rng.choice(WORDS) for _ in range(7000))
         pairs.insert(70, prediction("long", long_text, long_text[::-1], "kucing makan"))
-        assert len(long_text) > metrics._CHRF_BATCH_CHARS
+        assert len(long_text) > metrics._BLEU_BATCH_CHARS
         self.assert_equals_counter_oracle(pairs, 4, metrics.SMOOTHING_ADD_EPS_EXP)
+
+    def test_aggregate_does_not_depend_on_the_batches(self):
+        # Integer statistics are summed over pairs, so one batch per pair and
+        # one batch for all pairs give the same aggregate to the bit.
+        pairs = random_words_pairs(random.Random(25), 80, make_lexicon("ind", 300, 0), 30, 80)
+        reports = []
+        for budget in (1, sum(map(metrics._pair_chars, pairs))):
+            with mock.patch.object(metrics, "_BLEU_BATCH_CHARS", budget):
+                reports.append(corpus_bleu(pairs))
+        assert reports[0] == reports[1] == corpus_bleu(pairs)
+        assert 0.0 < reports[0].aggregate < 100.0
 
     def test_memory_follows_the_batch_not_the_input(self):
         report, peak = traced_peak(corpus_bleu, memory_pairs())

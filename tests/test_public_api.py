@@ -1,14 +1,16 @@
 """Each module's ``__all__`` names only what the module defines; importing
 ``metrics``, ``collection`` or ``tokenizer`` alone does not load numpy; the
-benchmark tracer finds every layer function it wraps."""
+benchmark tracer finds every layer function it wraps and the counts it reads."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import langadapt
@@ -39,11 +41,35 @@ def test_import_leaves_numpy_unloaded(name):
     assert result.stdout == "False\n"
 
 
-def test_benchmark_tracer_finds_every_layer():
+def test_benchmark_tracer_finds_every_layer(tmp_path):
     # perfbench/spans.py wraps layer functions by module attribute (among them
-    # ``vocab_adapt.encode_bytes``); renaming one would break traced runs only.
+    # ``vocab_adapt.encode_bytes``) and reads what some of them return;
+    # renaming one or changing its result would break traced runs only. One
+    # traced ``adapt`` call checks the count read from adaptation's report.
+    from langadapt import tokenizer, vocab_adapt
+    from langadapt.corpus import CorpusDocument
+
+    old = tokenizer.train_bpe([CorpusDocument("0", "xy", "ind", "s")], 259)
+    new = tokenizer.train_bpe([CorpusDocument("0", "ab ab", "ind", "s")], 260)
+    tokenizer.save_model(old, tmp_path / "old.json")
+    tokenizer.save_model(new, tmp_path / "new.json")
+    rows = np.ones((old.piece_count, 2), dtype=np.float32)
+    matrix = vocab_adapt.EmbeddingMatrix.from_array(rows, tokenizer.model_hash(old))
+    vocab_adapt.save_embeddings(matrix, tmp_path / "old.bin")
+    config = {"old_model": "old.json", "new_model": "new.json", "old_embeddings": "old.bin"}
+    (tmp_path / "adapt.json").write_text(json.dumps(config), encoding="utf-8")
+    code = """
+import spans
+from langadapt import cli
+tracer = spans.Tracer(0)
+spans.install(tracer)
+assert cli.main(["adapt", "--config", "adapt.json", "--out", "out"]) == 0
+print([span.counts for span in tracer.spans if span.name == "vocab_adapt.adapt_embeddings"])
+"""
     paths = [Path(__file__).parents[1] / "perfbench", Path(langadapt.__file__).parents[1]]
-    code = "import spans; spans.install(spans.Tracer(0))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
     assert result.returncode == 0, result.stderr
+    assert result.stdout == "[{'averaged': 1}]\n"

@@ -29,6 +29,7 @@ def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
         )
     old = tokenizer.train_bpe(languages.documents({"ind": 1.0}, 2_000, seed=4, source="old"), 280)
     (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
     tokenizer.save_model(old, tmp_path / "old" / "tokenizer.json")
     rows = np.random.default_rng(5).standard_normal((old.piece_count, 8), dtype=np.float32)
     matrix = vocab_adapt.EmbeddingMatrix.from_array(rows, tokenizer.model_hash(old))
@@ -37,5 +38,8 @@ def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
     namespace: dict = {}
     exec(compile(library_example(), str(README), "exec"), namespace)
     assert namespace["new_emb"].rows == namespace["model"].piece_count
+    assert namespace["new_file"].rows == namespace["model"].piece_count
     assert capsys.readouterr().out.startswith("ind ")
-    assert sorted(os.listdir(tmp_path)) == ["data", "old"]  # the example writes no file
+    # The example writes only the new matrix.
+    assert sorted(os.listdir(tmp_path)) == ["data", "new", "old"]
+    assert os.listdir(tmp_path / "new") == ["embeddings.bin"]

@@ -1,3 +1,4 @@
+import errno
 import random
 import tempfile
 import tracemalloc
@@ -43,6 +44,15 @@ def matrix_for(model, seed=0):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((model.piece_count, 8), dtype=np.float32)
     return EmbeddingMatrix.from_array(data, tokenizer.model_hash(model))
+
+
+def adapted(old_tok, old_emb, new_tok):
+    """Adapt into a temporary file; return the new matrix read back and the report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "new.bin"
+        new_file, report = adapt_embeddings(old_tok, old_emb, new_tok, path)
+        assert new_file == open_embeddings(path)
+        return load_embeddings(path), report
 
 
 def _embedding_file_bytes():
@@ -232,21 +242,21 @@ class TestConstruction:
         assert not (tmp_path / "x.bin").exists()
 
     def test_old_matrix_scanned_once_from_file_to_adaptation(self, tmp_path, old_model, new_model):
+        # The new rows are finite by construction, so they are not scanned.
         path = tmp_path / "old.bin"
         save_embeddings(matrix_for(old_model, seed=9), path)
         scan = vocab_adapt._first_non_finite_row
         with mock.patch.object(vocab_adapt, "_first_non_finite_row", wraps=scan) as spy:
             old_emb = load_embeddings(path)
-            new_emb, _ = adapt_embeddings(old_model, old_emb, new_model)
+            adapt_embeddings(old_model, old_emb, new_model, tmp_path / "new.bin")
         scanned = [call.args[0] for call in spy.call_args_list]
-        assert [data is old_emb.data for data in scanned] == [True, False]
-        assert scanned[1] is new_emb.data
+        assert [data is old_emb.data for data in scanned] == [True]
 
 
 class TestAdaptEmbeddings:
     def test_identity_adaptation_is_exact(self, old_model):
         old_emb = matrix_for(old_model, seed=1)
-        new_emb, report = adapt_embeddings(old_model, old_emb, old_model)
+        new_emb, report = adapted(old_model, old_emb, old_model)
         assert new_emb.data.tobytes() == old_emb.data.tobytes()
         assert report.copied == old_model.piece_count
         assert report.averaged == 0 and report.fallback == 0
@@ -262,7 +272,7 @@ class TestAdaptEmbeddings:
         data[a_id] = [1.0, 3.0]
         data[b_id] = [3.0, 1.0]
         old_emb = EmbeddingMatrix.from_array(data, tokenizer.model_hash(old))
-        new_emb, report = adapt_embeddings(old, old_emb, new)
+        new_emb, report = adapted(old, old_emb, new)
         ab_id = new.byte_offset + 256
         assert new.pieces[ab_id] == b"ab"
         assert new_emb.data[ab_id].tolist() == [2.0, 2.0]
@@ -274,7 +284,7 @@ class TestAdaptEmbeddings:
         old = tokenizer.train_bpe(docs_from(["xy"]), 260, ["pad", "eos", "unk", "sep"])
         new = tokenizer.train_bpe(docs_from(["<sep> <sep> <sep>"]), 263)
         old_emb = matrix_for(old, seed=10)
-        new_emb, report = adapt_embeddings(old, old_emb, new)
+        new_emb, report = adapted(old, old_emb, new)
         sep_id = new.pieces.index(b"<sep>")
         ids = tokenizer.encode_bytes(old, b"<sep>")
         assert ids == [old.byte_offset + b for b in b"<sep>"]
@@ -290,7 +300,7 @@ class TestAdaptEmbeddings:
         for byte, value in zip(b"abc", (1e20, -1e20, 1.0)):
             data[old.byte_offset + byte] = value
         old_emb = EmbeddingMatrix.from_array(data, tokenizer.model_hash(old))
-        new_emb, report = adapt_embeddings(old, old_emb, new)
+        new_emb, report = adapted(old, old_emb, new)
         abc_id = new.pieces.index(b"abc")
         assert report.per_piece_provenance[abc_id] == "averaged:3"
         assert new_emb.data[abc_id].tolist() == [np.float32(1.0 / 3.0)]
@@ -305,7 +315,7 @@ class TestAdaptEmbeddings:
             shape = (old_tok.piece_count, 16)
             data = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
             old_emb = EmbeddingMatrix.from_array(data, tokenizer.model_hash(old_tok))
-            new_emb, report = adapt_embeddings(old_tok, old_emb, new_tok)
+            new_emb, report = adapted(old_tok, old_emb, new_tok)
             old64 = old_emb.data.astype(np.float64)
             for new_id, provenance in report.per_piece_provenance.items():
                 if not provenance.startswith("averaged"):
@@ -325,13 +335,13 @@ class TestAdaptEmbeddings:
 
     def test_provenance_counts_sum(self, old_model, new_model):
         old_emb = matrix_for(old_model, seed=3)
-        _, report = adapt_embeddings(old_model, old_emb, new_model)
+        _, report = adapted(old_model, old_emb, new_model)
         assert report.copied + report.averaged + report.fallback == new_model.piece_count
         assert len(report.per_piece_provenance) == new_model.piece_count
 
     def test_copied_rows_bit_exact(self, old_model, new_model):
         old_emb = matrix_for(old_model, seed=4)
-        new_emb, report = adapt_embeddings(old_model, old_emb, new_model)
+        new_emb, report = adapted(old_model, old_emb, new_model)
         old_index = {piece: i for i, piece in enumerate(old_model.pieces)}
         for new_id, provenance in report.per_piece_provenance.items():
             if provenance != "copied":
@@ -342,8 +352,8 @@ class TestAdaptEmbeddings:
     def test_averaging_linearity(self, old_model, new_model):
         old_emb = matrix_for(old_model, seed=5)
         doubled = EmbeddingMatrix.from_array(old_emb.data * 2.0, old_emb.vocab_hash)
-        base, _ = adapt_embeddings(old_model, old_emb, new_model)
-        scaled, _ = adapt_embeddings(old_model, doubled, new_model)
+        base, _ = adapted(old_model, old_emb, new_model)
+        scaled, _ = adapted(old_model, doubled, new_model)
         assert np.max(np.abs(scaled.data - 2.0 * base.data)) < 1e-6
 
     def test_hash_mismatch(self, old_model, new_model):
@@ -351,14 +361,14 @@ class TestAdaptEmbeddings:
             np.ones((old_model.piece_count, 8), dtype=np.float32), "f" * 32
         )
         with pytest.raises(VocabBindingError, match="not bound"):
-            adapt_embeddings(old_model, bad, new_model)
+            adapted(old_model, bad, new_model)
 
     def test_non_finite_row_named(self, old_model, new_model):
         data = np.ones((old_model.piece_count, 8), dtype=np.float32)
         data[17, 3] = np.nan
         with pytest.raises(ValueError, match="row 17"):
             bad = EmbeddingMatrix.from_array(data, tokenizer.model_hash(old_model))
-            adapt_embeddings(old_model, bad, new_model)
+            adapted(old_model, bad, new_model)
 
     def test_new_special_fallback_is_global_mean(self, old_model):
         # a new model with an extra special name absent from the old model
@@ -367,7 +377,7 @@ class TestAdaptEmbeddings:
             docs_from(random_texts(rng, 50, 30)), 262, special_names=["pad", "eos", "unk", "cls"]
         )
         old_emb = matrix_for(old_model, seed=6)
-        new_emb, report = adapt_embeddings(old_model, old_emb, new)
+        new_emb, report = adapted(old_model, old_emb, new)
         cls_id = new.special_tokens["cls"]
         assert report.per_piece_provenance[cls_id] == "fallback"
         expected = (old_emb.data.astype(np.float64).sum(axis=0) / old_emb.rows).astype(np.float32)
@@ -383,7 +393,7 @@ class TestAdaptEmbeddings:
         with mock.patch.object(
             vocab_adapt, "encode_bytes", wraps=vocab_adapt.encode_bytes
         ) as encode_bytes:
-            _, report = adapt_embeddings(old_model, old_emb, new_model)
+            _, report = adapted(old_model, old_emb, new_model)
         assert report.averaged > 1
         assert encode_bytes.call_count == 1
 
@@ -405,9 +415,9 @@ class TestAdaptEmbeddings:
         with mock.patch.object(vocab_adapt, "encode_bytes") as encode_bytes:
             with pytest.raises(ValueError, match="piece 259 holds an ASCII whitespace byte"):
                 if role == "old":
-                    adapt_embeddings(spaced(), matrix_for(old_model), old_model)
+                    adapted(spaced(), matrix_for(old_model), old_model)
                 else:
-                    adapt_embeddings(old_model, matrix_for(old_model), spaced())
+                    adapted(old_model, matrix_for(old_model), spaced())
         assert encode_bytes.call_count == 0
 
     def test_permutation_equivariance_over_independent_merges(self):
@@ -439,8 +449,8 @@ class TestAdaptEmbeddings:
             np.vstack([shared, row_cd[None], row_ab[None]]), tokenizer.model_hash(model_cd_ab)
         )
         new = tokenizer.train_bpe(docs_from(["abcd abcd abx cdy"]), 262)
-        out1, _ = adapt_embeddings(model_ab_cd, emb1, new)
-        out2, _ = adapt_embeddings(model_cd_ab, emb2, new)
+        out1, _ = adapted(model_ab_cd, emb1, new)
+        out2, _ = adapted(model_cd_ab, emb2, new)
         assert np.array_equal(out1.data, out2.data)
 
 
@@ -480,17 +490,32 @@ class TestStreamedAdaptation:
         shape = (old.piece_count, dims)
         data = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
         old_emb = EmbeddingMatrix.from_array(data, tokenizer.model_hash(old))
-        expected, expected_report = adapt_embeddings(old, old_emb, new)  # one block
+        expected, expected_report = adapted(old, old_emb, new)  # one block
         assert expected_report.averaged > 0 and (expected_report.fallback > 0) == fallback
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "old.bin"
             save_embeddings(old_emb, path)
             sources = (old_emb, open_embeddings(path))
             with block_of(block_rows or old.piece_count, dims):
-                results = [adapt_embeddings(old, source, new) for source in sources]
+                results = [adapted(old, source, new) for source in sources]
         for new_emb, report in results:
             assert new_emb.data.tobytes() == expected.data.tobytes()
             assert report == expected_report
+
+    @pytest.mark.parametrize("layout", ["big-endian", "column-major"])
+    def test_matrix_of_any_layout_gives_the_same_bytes(self, small_models, layout):
+        # The new file takes raw little-endian rows, so a block of another
+        # layout is converted, one block at a time.
+        old, new, _ = small_models
+        old_emb = matrix_for(old, seed=14)
+        data = old_emb.data.astype(">f4") if layout == "big-endian" else np.asfortranarray(
+            old_emb.data
+        )
+        other = EmbeddingMatrix(data, old_emb.vocab_hash)
+        with block_of(3, 8):
+            expected, got = adapted(old, old_emb, new), adapted(old, other, new)
+        assert got[0].data.tobytes() == expected[0].data.tobytes()
+        assert got[1] == expected[1]
 
     @pytest.mark.parametrize("source", ["memory", "file"])
     @pytest.mark.parametrize("block_rows", [1, 3, None])
@@ -511,7 +536,7 @@ class TestStreamedAdaptation:
             save_embeddings(old_emb, tmp_path / "old.bin")
             old_emb = open_embeddings(tmp_path / "old.bin")
         with block_of(block_rows or old.piece_count, dims):
-            new_emb, report = adapt_embeddings(old, old_emb, new)
+            new_emb, report = adapted(old, old_emb, new)
         fallback_ids = [i for i, kind in report.per_piece_provenance.items() if kind == "fallback"]
         assert len(fallback_ids) == report.fallback >= 1
         for new_id in fallback_ids:
@@ -539,7 +564,7 @@ class TestStreamedAdaptation:
         raw[-4:] = np.float32(np.nan).tobytes()
         path.write_bytes(bytes(raw) + b"\0" * (fault == "length"))
         with pytest.raises(error, match=message), block_of(3, 4):
-            adapt_embeddings(old, open_embeddings(path), new)
+            adapted(old, open_embeddings(path), new)
 
     def test_file_shrunk_after_opening_names_offset(self, tmp_path, small_models):
         old, new, _ = small_models
@@ -549,7 +574,82 @@ class TestStreamedAdaptation:
         path.write_bytes(path.read_bytes()[:-4])
         end = path.stat().st_size
         with pytest.raises(EmbeddingFormatError, match=f"truncated at byte offset {end}$"):
-            adapt_embeddings(old, old_emb, new)
+            adapted(old, old_emb, new)
+
+
+class TestWritingTheNewFile:
+    """Adaptation writes the new rows into their file as it goes and the header
+    last; whatever stops it removes the file."""
+
+    def test_non_finite_row_in_the_last_block_removes_the_partial_file(
+        self, tmp_path, small_models
+    ):
+        old, new, _ = small_models
+        path = tmp_path / "old.bin"
+        save_embeddings(matrix_for(old), path)
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        out = tmp_path / "new.bin"
+        partial = tmp_path / "partial.bin"
+        scan = vocab_adapt._first_non_finite_row
+
+        def scan_keeping_a_copy(block):  # of the new file as the last block comes
+            partial.write_bytes(out.read_bytes())
+            return scan(block)
+
+        last = old.piece_count - 1
+        with block_of(10, 8), mock.patch.object(
+            vocab_adapt, "_first_non_finite_row", scan_keeping_a_copy
+        ), pytest.raises(EmbeddingFormatError) as raised:
+            adapt_embeddings(old, open_embeddings(path), new, out)
+        assert str(raised.value) == (
+            f"{path}: non-finite value in embedding row {last} at byte offset {44 + last * 32}"
+        )
+        assert not out.exists()
+        # Earlier blocks had written their rows, but not the header.
+        assert any(partial.read_bytes()[44:])
+        with pytest.raises(EmbeddingFormatError, match="bad magic at byte offset 0$"):
+            open_embeddings(partial)
+
+    def test_failed_last_write_removes_the_file(self, tmp_path, small_models):
+        old, new, _ = small_models
+        out = tmp_path / "new.bin"
+        full = OSError(errno.ENOSPC, "No space left on device")
+        with mock.patch.object(vocab_adapt, "_header", side_effect=full):
+            with pytest.raises(OSError) as raised:
+                adapt_embeddings(old, matrix_for(old), new, out)
+        assert raised.value is full
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_path_is_left_as_it_was(self, tmp_path, small_models):
+        old, new, _ = small_models
+        (tmp_path / "new.bin").mkdir()
+        with pytest.raises(IsADirectoryError):
+            adapt_embeddings(old, matrix_for(old), new, tmp_path / "new.bin")
+        assert (tmp_path / "new.bin").is_dir()
+
+    def test_refuses_to_overwrite_the_old_file(self, tmp_path, small_models):
+        old, new, _ = small_models
+        path = tmp_path / "old.bin"
+        save_embeddings(matrix_for(old), path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="cannot overwrite the file it reads"):
+            adapt_embeddings(old, open_embeddings(path), new, path)
+        assert path.read_bytes() == before
+
+    def test_written_file_matches_the_returned_description(self, tmp_path, small_models):
+        old, new, _ = small_models
+        out = tmp_path / "new.bin"
+        new_file, report = adapt_embeddings(old, matrix_for(old), new, out)
+        assert new_file == vocab_adapt.EmbeddingFile(
+            out, new.piece_count, 8, tokenizer.model_hash(new)
+        )
+        loaded = load_embeddings(out)
+        assert (loaded.rows, loaded.dims, loaded.vocab_hash) == (
+            new_file.rows, new_file.dims, new_file.vocab_hash
+        )
+        assert report.copied + report.averaged + report.fallback == new_file.rows
 
 
 def traced_peak(fn, *args):
@@ -564,9 +664,27 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def stash_bytes(old_tok, new_tok, report, dims):
+    """The bytes of the distinct old rows that the averaged rows read."""
+    rows = {
+        old_id
+        for new_id, kind in report.per_piece_provenance.items()
+        if kind.startswith("averaged")
+        for old_id in tokenizer.encode_bytes(old_tok, new_tok.pieces[new_id])
+    }
+    return len(rows) * dims * 4
+
+
+# Adaptation's allocations besides a block and the stash: numpy's fixed 64 KB
+# cast buffer for a file block's float64 row sums, the write buffer, and the
+# per-piece lists and dicts.
+OVERHEAD_BYTES = 192 * 1024
+
+
 class TestMemory:
-    """The old matrix is held once: no float64 shadow, no load or save copies;
-    adapting from a file holds one block of it and the rows averaging reads.
+    """The old matrix is held once: no float64 shadow, no load or save copies.
+    Adapting holds one block of it and the rows averaging reads, and no new
+    matrix: its rows go straight to the file.
 
     Saving allocates no array as large as the matrix, not even a finiteness mask.
     """
@@ -579,11 +697,16 @@ class TestMemory:
         path = tmp_path / "emb.bin"
         _, save_peak = traced_peak(save_embeddings, old_emb, path)
         loaded, load_peak = traced_peak(load_embeddings, path)
-        (new_emb, _), adapt_peak = traced_peak(adapt_embeddings, old_model, loaded, new_model)
+        (new_file, report), adapt_peak = traced_peak(
+            adapt_embeddings, old_model, loaded, new_model, tmp_path / "new.bin"
+        )
+        new_bytes = new_file.rows * new_file.dims * 4
         assert load_peak < 1.25 * data.nbytes
         # numpy's fixed 64 KB cast buffer for the float64 row sums is 7% of this 1 MB matrix
         assert save_peak < 0.1 * data.nbytes
-        assert adapt_peak < new_emb.data.nbytes + 0.5 * data.nbytes
+        # A matrix's blocks are views, so only the stash is row-sized.
+        assert adapt_peak < stash_bytes(old_model, new_model, report, 512) + OVERHEAD_BYTES
+        assert adapt_peak < 0.25 * new_bytes
 
     def test_adapting_from_a_file_holds_no_old_matrix(self, tmp_path, old_model, new_model):
         rng = np.random.default_rng(12)
@@ -592,6 +715,34 @@ class TestMemory:
         save_embeddings(EmbeddingMatrix.from_array(data, tokenizer.model_hash(old_model)), path)
         old_model._rank_arrays
         old_emb = open_embeddings(path)
-        with mock.patch.object(vocab_adapt, "_READ_BLOCK_BYTES", data.nbytes // 16):  # 17 blocks
-            (new_emb, _), peak = traced_peak(adapt_embeddings, old_model, old_emb, new_model)
-        assert peak < new_emb.data.nbytes + 0.25 * data.nbytes
+        block = data.nbytes // 16  # 17 blocks
+        with mock.patch.object(vocab_adapt, "_READ_BLOCK_BYTES", block):
+            (new_file, report), peak = traced_peak(
+                adapt_embeddings, old_model, old_emb, new_model, tmp_path / "new.bin"
+            )
+        assert peak < block + stash_bytes(old_model, new_model, report, 1024) + OVERHEAD_BYTES
+        assert peak < 0.3 * new_file.rows * new_file.dims * 4
+
+    def test_peak_does_not_follow_the_new_vocabulary(self, tmp_path):
+        # The old model knows only bytes, so every averaged row reads the rows
+        # of the eight letters and the stash stays the same as the new
+        # vocabulary grows fourfold. Only per-piece bookkeeping grows with it.
+        old = tokenizer.train_bpe(docs_from(["xy"]), 259)
+        texts = random_texts(random.Random(500), 800, 600)
+        data = np.random.default_rng(13).standard_normal((old.piece_count, 2048), dtype=np.float32)
+        path = tmp_path / "emb.bin"
+        save_embeddings(EmbeddingMatrix.from_array(data, tokenizer.model_hash(old)), path)
+        old._rank_arrays
+        peaks, new_bytes = [], []
+        for vocab_size in (300, 1200):
+            new = tokenizer.train_bpe(docs_from(texts), vocab_size)
+            with mock.patch.object(vocab_adapt, "_READ_BLOCK_BYTES", data.nbytes // 16):
+                (new_file, report), peak = traced_peak(
+                    adapt_embeddings, old, open_embeddings(path), new, tmp_path / "new.bin"
+                )
+            assert new_file.rows == vocab_size and report.averaged > vocab_size - 280
+            assert stash_bytes(old, new, report, 2048) <= 8 * 2048 * 4
+            peaks.append(peak)
+            new_bytes.append(new_file.rows * new_file.dims * 4)
+        assert peaks[1] < new_bytes[0] / 2
+        assert peaks[1] - peaks[0] < 0.1 * (new_bytes[1] - new_bytes[0])
