@@ -231,35 +231,38 @@ def _learn_merges(
     lengths = np.fromiter(map(len, distinct), np.int64, len(distinct))
     freq = np.fromiter(map(word_counts.__getitem__, distinct), np.int64, len(distinct))
     ids = np.frombuffer(b"".join(distinct), np.uint8) + np.int64(byte_offset)
-    # Incremental pair bookkeeping: exact pair counts, the words each pair
-    # may occur in, and a lazy max-heap of (-count, left, right) entries.
-    # Every live pair keeps at least one entry whose key is >= its count:
-    # after each merge, every pair whose count rose (all of them contain the
-    # new id) gets one entry at its new count, and a count that falls stays
-    # below an entry already queued. A popped entry above its pair's count is
-    # re-queued at the count; one below it is dropped, because a newer entry
-    # holds the larger count. So the first popped entry equal to its count is
-    # the true maximum under the (count, lowest left, lowest right) order.
+    # Incremental pair bookkeeping: exact pair counts and the words each pair
+    # may occur in, keyed by ``left * size + right``, and a lazy max-heap of
+    # entries ``key - count * size**2``, which sort as (-count, left, right).
+    # Keys, entries and words are ints or tuples of ints, which the garbage
+    # collector skips. Every live pair keeps at least one entry whose count is
+    # >= its count: after each merge, every pair whose count rose (all of them
+    # contain the new id) gets one entry at its new count, and a count that
+    # falls stays below an entry already queued. A popped entry above its
+    # pair's count is re-queued at the count; one below it is dropped, because
+    # a newer entry holds the larger count. So the first popped entry equal to
+    # its count is the maximum by count, then lowest left, then lowest right.
     existing = set(pieces)
     merges: list[tuple[int, int]] = []
     stop = min(vocab_size, len(pieces) + _ARRAY_MERGES)
     if len(pieces) < stop:
         ids, lengths = _array_merges(ids, lengths, freq, pieces, existing, merges, stop, byte_offset)
-    words, freqs, pair_counts, pair_words = _loop_state(ids, lengths, freq, len(pieces))
-    heap = [(-count, pair[0], pair[1]) for pair, count in pair_counts.items()]
+    size, square = vocab_size, vocab_size * vocab_size
+    words, freqs, pair_counts, pair_words = _loop_state(ids, lengths, freq, size)
+    heap = [key - count * square for key, count in pair_counts.items()]
     heapq.heapify(heap)
 
     while len(pieces) < vocab_size and heap:
-        neg_count, left, right = heapq.heappop(heap)
-        pair = (left, right)
-        count = pair_counts.get(pair)
+        neg_count, key = divmod(heapq.heappop(heap), square)
+        count = pair_counts.get(key)
         if count is None or count > -neg_count:
             continue
         if count < -neg_count:
-            heapq.heappush(heap, (-count, left, right))
+            heapq.heappush(heap, key - count * square)
             continue
         if count < _MIN_PAIR_FREQ:
             break
+        left, right = divmod(key, size)
         merged = pieces[left] + pieces[right]
         if merged in existing:
             # Minting the piece would duplicate an existing one (only special
@@ -269,10 +272,10 @@ def _learn_merges(
         new_id = len(pieces)
         pieces.append(merged)
         existing.add(merged)
-        merges.append(pair)
-        del pair_counts[pair]
-        risen: set[tuple[int, int]] = set()
-        for widx in pair_words.pop(pair):
+        merges.append((left, right))
+        del pair_counts[key]
+        risen: set[int] = set()
+        for widx in pair_words.pop(key):
             ids = words[widx]
             n = len(ids)
             # One left-to-right pass rewrites the word and records how each
@@ -280,7 +283,7 @@ def _learn_merges(
             # taken from the rewritten output, so adjacent sites come out
             # exact: in "aaaa" merging (a, a) the second site turns the
             # (new, a) gained at the first into (new, new).
-            deltas: dict[tuple[int, int], int] = {}
+            deltas: dict[int, int] = {}
             out: list[int] = []
             i = 0
             while i < n:
@@ -290,21 +293,21 @@ def _learn_merges(
                     i += 1
                     continue
                 if out:
-                    p = out[-1]
-                    deltas[(p, left)] = deltas.get((p, left), 0) - 1
-                    deltas[(p, new_id)] = deltas.get((p, new_id), 0) + 1
+                    p = out[-1] * size
+                    deltas[p + left] = deltas.get(p + left, 0) - 1
+                    deltas[p + new_id] = deltas.get(p + new_id, 0) + 1
                 if i + 2 < n:
                     q = ids[i + 2]
-                    deltas[(right, q)] = deltas.get((right, q), 0) - 1
-                    deltas[(new_id, q)] = deltas.get((new_id, q), 0) + 1
+                    deltas[right * size + q] = deltas.get(right * size + q, 0) - 1
+                    deltas[new_id * size + q] = deltas.get(new_id * size + q, 0) + 1
                 out.append(new_id)
                 i += 2
             if len(out) == n:
                 continue  # stale membership from an earlier rewrite
-            words[widx] = out
+            words[widx] = tuple(out)
             freq = freqs[widx]
             for p, delta in deltas.items():
-                if delta == 0 or p == pair:
+                if delta == 0 or p == key:
                     continue
                 updated = pair_counts.get(p, 0) + delta * freq
                 if updated == 0:
@@ -315,7 +318,7 @@ def _learn_merges(
                     risen.add(p)
                     pair_words.setdefault(p, set()).add(widx)
         for p in risen:
-            heapq.heappush(heap, (-pair_counts[p], p[0], p[1]))
+            heapq.heappush(heap, p - pair_counts[p] * square)
     return merges
 
 
@@ -393,15 +396,15 @@ def _array_merges(ids, lengths, freq, pieces, existing, merges, stop, byte_offse
 
 def _loop_state(ids, lengths, freq, size):
     """The loop's state for flat words of ids below ``size``: each word as an
-    id list, ``freq`` as a list, and each pair's exact count and the words that
-    hold it, grouped by the key ``left * size + right``. Each id and word index
-    is one shared int object, as in the loop's lists, not one per position."""
+    id tuple, which the garbage collector stops tracking, ``freq`` as a list,
+    and each pair's exact count and the words that hold it, keyed by the int
+    ``left * size + right``. Each id and word index is one shared int object."""
     import numpy as np  # not at the top: see collection.subsample_to_target
 
     id_ints = np.arange(size).astype(object)
     word = np.repeat(np.arange(len(lengths)), lengths)
     flat = id_ints[ids].tolist()
-    words = [flat[a:b] for a, b in pairwise(chain((0,), np.cumsum(lengths).tolist()))]
+    words = [tuple(flat[a:b]) for a, b in pairwise(chain((0,), np.cumsum(lengths).tolist()))]
     pos = np.flatnonzero(word[:-1] == word[1:])
     key = ids[pos] * size + ids[pos + 1]
     order = np.argsort(key)
@@ -410,9 +413,9 @@ def _loop_state(ids, lengths, freq, size):
     totals = np.add.reduceat(freq[member], starts).tolist()
     members = np.arange(len(lengths)).astype(object)[member].tolist()
     spans = pairwise(chain(starts.tolist(), (len(members),)))
-    pairs = list(zip(*(id_ints[half].tolist() for half in np.divmod(key[starts], size))))
-    pair_words = {pair: set(members[a:b]) for pair, (a, b) in zip(pairs, spans)}
-    return words, freq.tolist(), dict(zip(pairs, totals)), pair_words
+    keys = key[starts].tolist()
+    pair_words = {k: set(members[a:b]) for k, (a, b) in zip(keys, spans)}
+    return words, freq.tolist(), dict(zip(keys, totals)), pair_words
 
 
 def _leftmost_sites(sites, touching):

@@ -59,13 +59,18 @@ def naive_train_bpe(texts, vocab_size, special_names=("pad", "eos", "unk")):
     pair frequency of at least 2; pairs whose concatenation would duplicate
     an existing piece are permanently banned.
     """
-    pieces = [f"<{name}>".encode("utf-8") for name in special_names]
-    pieces += [bytes([i]) for i in range(256)]
-    offset = len(special_names)
     word_freqs: dict[bytes, int] = {}
     for text in texts:
         for word in _split_words(text):
             word_freqs[word] = word_freqs.get(word, 0) + 1
+    return naive_train_bpe_counts(word_freqs, vocab_size, special_names)
+
+
+def naive_train_bpe_counts(word_freqs, vocab_size, special_names=("pad", "eos", "unk")):
+    """``naive_train_bpe`` from a table of whitespace-free words and their counts."""
+    pieces = [f"<{name}>".encode("utf-8") for name in special_names]
+    pieces += [bytes([i]) for i in range(256)]
+    offset = len(special_names)
     words = [([offset + b for b in word], freq) for word, freq in word_freqs.items()]
     merges: list[tuple[int, int]] = []
     banned: set[tuple[int, int]] = set()

@@ -1,4 +1,5 @@
 import base64
+import gc
 import itertools
 import json
 import operator
@@ -16,7 +17,13 @@ from langadapt import tokenizer
 from langadapt.corpus import CorpusDocument
 from langadapt.tokenizer import FertilityReport, count_words, fertility
 
-from oracles import _split_words, json_model_bytes, naive_encode_bytes, naive_train_bpe
+from oracles import (
+    _split_words,
+    json_model_bytes,
+    naive_encode_bytes,
+    naive_train_bpe,
+    naive_train_bpe_counts,
+)
 
 ASCII_WS = b" \t\n\r\x0b\x0c"
 
@@ -168,19 +175,51 @@ class TestTrainBpe:
         ids = np.array([i for batch, _ in batches for i in batch], np.int64)
         lengths = np.array([n for _, sizes in batches for n in sizes], np.int64)
         freq = np.array([f for _, f in table], np.int64)
-        words, freqs, pair_counts, pair_words = tokenizer._loop_state(
-            ids, lengths, freq, runs_model.piece_count
-        )
+        size = runs_model.piece_count
+        words, freqs, pair_counts, pair_words = tokenizer._loop_state(ids, lengths, freq, size)
         expected = [naive_encode_bytes(pieces, merges, runs_model.byte_offset, w) for w, _ in table]
         counts, holders = Counter(), defaultdict(set)
         for index, (word, (_, f)) in enumerate(zip(expected, table)):
-            for pair in zip(word, word[1:]):
-                counts[pair] += f
-                holders[pair].add(index)
-        assert words == expected
+            for left, right in zip(word, word[1:]):
+                counts[left * size + right] += f
+                holders[left * size + right].add(index)
+        assert words == [tuple(word) for word in expected]
         assert freqs == freq.tolist()
         assert pair_counts == dict(counts)
         assert pair_words == dict(holders)
+
+    def test_loop_state_is_left_to_the_garbage_collector_after_one_pass(self):
+        # The loop's speed rests on this: the collector stops walking words
+        # that hold only ints, and pair keys are ints, not tuples.
+        table = [b"abab", b"aaaa", b"abcab", b"ba"]
+        ids = np.array([3 + b for word in table for b in word], np.int64)
+        lengths = np.array(list(map(len, table)), np.int64)
+        freq = np.array([5, 2, 1, 7], np.int64)
+        words, _, pair_counts, pair_words = tokenizer._loop_state(ids, lengths, freq, 300)
+        gc.collect()
+        assert not any(map(gc.is_tracked, words))
+        assert all(type(key) is int for key in itertools.chain(pair_counts, pair_words))
+
+    @pytest.mark.parametrize("path", sorted(TRAIN_PATHS))
+    def test_ties_survive_int_heap_entries_at_large_counts(self, path):
+        # Ties at 2**31 and just above it (one of them summed over two words)
+        # and near 2**40, inside the int64 of the array rounds' table; (f, e)
+        # is one below (g, h) and has the lower key. Near 2**40 the loop's
+        # heap entries pass 2**53, where a float would round ties away. Twelve
+        # merges are possible and eleven fit, so the last mints vocab_size - 1.
+        table = Counter({
+            b"ef": 2**40, b"gh": 2**40, b"fe": 2**40 - 1, b"hg": 2**40 - 1,
+            b"cd": 2**31 - 1, b"cdx": 2, b"dc": 2**31 + 1, b"ab": 2**31, b"ba": 2**31,
+            b"xyz": 2, b"xyzxyz": 5,
+        })  # fmt: skip
+        vocab_size = 3 + 256 + 11
+        expected = naive_train_bpe_counts(table, vocab_size)
+        assert len(naive_train_bpe_counts(table, vocab_size + 1)[1]) == 12
+        with train_path(path):
+            pieces = expected[0][: 3 + 256]
+            merges = tokenizer._learn_merges(table, pieces, vocab_size, 3)
+        assert (pieces, merges) == expected
+        assert pieces[vocab_size - 1] == b"xyzxyz"
 
     def test_adjacent_merge_sites_match_naive_oracle(self):
         model = assert_trains_like_naive(docs_from(["aaaaaaa aaaa aaa"]), 280)
