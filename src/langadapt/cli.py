@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import hashlib
 import json
 import os
@@ -332,6 +333,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built on first use, once per process: parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="langadapt",

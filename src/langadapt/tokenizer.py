@@ -9,16 +9,21 @@ stabilizes fertility numbers.
 
 Training and encoding share one flat form of words: their token ids back
 to back, and the number of ids of each word. Training counts each distinct
-word once and learns merges in two phases. The first ``_ARRAY_MERGES``
-merges, each of which rewrites many words, run in array rounds over the flat
-words: a dense table of exact pair counts gives the next pair by one argmax,
-and a merge rewrites all its sites and adds the count changes of the pairs
-beside them in one scatter. ``_loop_state`` then builds, from the flat words,
-whether or not a round ran, the incremental loop of Sennrich et al. (2016)
-for the long tail: a merge rewrites only the words that contain its pair and
-adjusts only the two neighbouring pairs of each site, and a lazy max-heap of
-pair counts picks the next merge. Both phases keep exact counts and break
-ties alike, so the merges equal those of a full recount after every step.
+word once, sums the languages' counters into that flat form and drops them,
+so no word table is alive while it learns merges in two phases. The first
+``_ARRAY_MERGES`` merges, each of which rewrites many words, run in array
+rounds over the flat words, with int32 ids, word indices and links: a dense
+table of exact pair counts gives the next pair by one argmax, and a merge
+rewrites all its sites and adds the count changes of the pairs beside them in
+one scatter. ``_loop_state`` then builds, from the flat words, whether or not
+a round ran, the incremental loop of Sennrich et al. (2016) for the long
+tail: a merge rewrites only the words that contain its pair and adjusts only
+the two neighbouring pairs of each site, and a lazy max-heap of pair counts
+picks the next merge. The words that hold each pair are slices of three
+sorted arrays for the pairs counted at the start, and one tuple for a pair
+minted in the loop; a pair whose count reaches zero drops both its count and
+its tuple. Both phases keep exact counts and break ties alike, so the merges
+equal those of a full recount after every step.
 
 Encoding applies merges in learned order to each whitespace-free word and
 keeps nothing per word, only the merge rank lookups per model. All of it goes
@@ -190,16 +195,10 @@ def train_bpe(
             f"vocab_size must be at least {min_size} "
             f"(256 bytes + {len(names)} specials), got {vocab_size}"
         )
-    # Summed into the first language's counter in place; a copy doubles memory.
-    counters = (counts for _, _, counts in count_words(docs).values())
-    word_counts = next(counters, Counter())
-    for counts in counters:
-        word_counts.update(counts)
-    if not word_counts:
-        raise ValueError("training corpus is empty")
     pieces = [f"<{name}>".encode("utf-8") for name in names]
     pieces.extend(bytes([i]) for i in range(256))
-    merges = _learn_merges(word_counts, pieces, vocab_size, len(names))
+    ids, lengths, freq = _flat_words(count_words(docs), len(names))
+    merges = _learn_merges(ids, lengths, freq, pieces, vocab_size, len(names))
     return TokenizerModel(
         pieces=pieces, merges=merges, special_tokens={name: i for i, name in enumerate(names)}
     )
@@ -218,37 +217,66 @@ def count_words(docs: Iterable[CorpusDocument]) -> dict[str, list]:
     return dict(table)
 
 
-def _learn_merges(
-    word_counts: Counter[bytes],
-    pieces: list[bytes],
-    vocab_size: int,
-    byte_offset: int,
-) -> list[tuple[int, int]]:
+def _flat_words(table: dict[str, list], byte_offset: int):
+    """Consume a :func:`count_words` table into the flat form training learns
+    from: the distinct words of two bytes or more as int32 ids back to back,
+    each one's length, and its summed frequency (both int64).
+
+    Each language's counter is popped as it is summed into the first one's, in
+    place (a copy doubles memory), and the sum is dropped here, so no word
+    table outlives the call. Raises ValueError if the table holds no word.
+    """
     import numpy as np  # not at the top: see collection.subsample_to_target
 
-    # The flat words of two bytes or more; an int64 addend keeps uint8 ids from wrapping.
+    word_counts = table.pop(next(iter(table)))[2] if table else Counter()
+    while table:
+        word_counts.update(table.pop(next(iter(table)))[2])
+    if not word_counts:
+        raise ValueError("training corpus is empty")
     distinct = [word for word in word_counts if len(word) > 1]
     lengths = np.fromiter(map(len, distinct), np.int64, len(distinct))
     freq = np.fromiter(map(word_counts.__getitem__, distinct), np.int64, len(distinct))
-    ids = np.frombuffer(b"".join(distinct), np.uint8) + np.int64(byte_offset)
-    # Incremental pair bookkeeping: exact pair counts and the words each pair
-    # may occur in, keyed by ``left * size + right``, and a lazy max-heap of
-    # entries ``key - count * size**2``, which sort as (-count, left, right).
-    # Keys, entries and words are ints or tuples of ints, which the garbage
-    # collector skips. Every live pair keeps at least one entry whose count is
-    # >= its count: after each merge, every pair whose count rose (all of them
-    # contain the new id) gets one entry at its new count, and a count that
-    # falls stays below an entry already queued. A popped entry above its
-    # pair's count is re-queued at the count; one below it is dropped, because
-    # a newer entry holds the larger count. So the first popped entry equal to
-    # its count is the maximum by count, then lowest left, then lowest right.
+    del word_counts
+    ids = np.frombuffer(b"".join(distinct), np.uint8).astype(np.int32)
+    ids += byte_offset
+    return ids, lengths, freq
+
+
+def _learn_merges(ids, lengths, freq, pieces, vocab_size, byte_offset) -> list[tuple[int, int]]:
+    """Learn merges from flat words, ``ids`` back to back, each word's length
+    and frequency, extending ``pieces`` until it holds ``vocab_size`` or no
+    pair occurs twice; return the merges."""
+    import numpy as np  # not at the top: see collection.subsample_to_target
+
+    # Incremental pair bookkeeping: exact pair counts, keyed by
+    # ``left * size + right``, and a lazy max-heap of entries
+    # ``key - count * size**2``, which sort as (-count, left, right). Every
+    # live pair keeps at least one entry whose count is >= its count: after
+    # each merge, every pair whose count rose (all of them contain the new
+    # id) gets one entry at its new count, and a count that falls stays below
+    # an entry already queued. A popped entry above its pair's count is
+    # re-queued at the count; one below it is dropped, because a newer entry
+    # holds the larger count. So the first popped entry equal to its count is
+    # the maximum by count, then lowest left, then lowest right.
+    #
+    # The words that may hold a pair: ``_loop_state``'s sorted arrays for the
+    # pairs it counted, and for a pair minted by a merge, a tuple of the words
+    # that merge gave it. That tuple is complete for good, since a pair's
+    # count rises only in the merge that mints its new id. A pair whose count
+    # reaches zero loses its tuple with its count. Keys, entries, words and
+    # tuples hold only ints, which the garbage collector skips.
     existing = set(pieces)
     merges: list[tuple[int, int]] = []
-    stop = min(vocab_size, len(pieces) + _ARRAY_MERGES)
+    # Each merge removes at least one position, so ids stay below ``size``
+    # even when ``vocab_size`` is far beyond what the words can give.
+    size = min(vocab_size, len(pieces) + len(ids))
+    stop = min(size, len(pieces) + _ARRAY_MERGES)
     if len(pieces) < stop:
         ids, lengths = _array_merges(ids, lengths, freq, pieces, existing, merges, stop, byte_offset)
-    size, square = vocab_size, vocab_size * vocab_size
-    words, freqs, pair_counts, pair_words = _loop_state(ids, lengths, freq, size)
+    square = size * size
+    words, freqs, pair_counts, (keys, starts, holders) = _loop_state(ids, lengths, freq, size)
+    del ids, lengths
+    minted: dict[int, tuple[int, ...]] = {}
     heap = [key - count * square for key, count in pair_counts.items()]
     heapq.heapify(heap)
 
@@ -274,8 +302,12 @@ def _learn_merges(
         existing.add(merged)
         merges.append((left, right))
         del pair_counts[key]
-        risen: set[int] = set()
-        for widx in pair_words.pop(key):
+        held = minted.pop(key, None)
+        if held is None:
+            at = np.searchsorted(keys, key)
+            held = holders[starts[at] : starts[at + 1]].tolist()
+        born: dict[int, list[int]] = {}
+        for widx in held:
             ids = words[widx]
             n = len(ids)
             # One left-to-right pass rewrites the word and records how each
@@ -312,12 +344,17 @@ def _learn_merges(
                 updated = pair_counts.get(p, 0) + delta * freq
                 if updated == 0:
                     del pair_counts[p]
+                    minted.pop(p, None)
                     continue
                 pair_counts[p] = updated
                 if delta > 0:
-                    risen.add(p)
-                    pair_words.setdefault(p, set()).add(widx)
-        for p in risen:
+                    widxs = born.get(p)
+                    if widxs is None:
+                        born[p] = [widx]
+                    else:
+                        widxs.append(widx)
+        for p, widxs in born.items():
+            minted[p] = tuple(widxs)
             heapq.heappush(heap, p - pair_counts[p] * square)
     return merges
 
@@ -328,35 +365,53 @@ def _learn_merges(
 _ARRAY_MERGES = 128
 
 
+def _index_type(n: int):
+    """The dtype of positions and word indices below ``n``: int32 while it
+    holds them, which halves their memory, else int64."""
+    import numpy as np  # not at the top: see collection.subsample_to_target
+
+    return np.int32 if n <= 2**31 else np.int64
+
+
 def _array_merges(ids, lengths, freq, pieces, existing, merges, stop, byte_offset):
     """Learn merges in array rounds over flat words weighted by ``freq`` until
     ``len(pieces) == stop`` or no pair occurs twice, extending ``pieces``,
     ``existing`` and ``merges`` as the loop does; return the rewritten words
-    in the same flat form, absolute ids back to back and each word's length.
+    in the same flat form, absolute int32 ids back to back and each word's length.
 
     Inside, ids count from byte 0, so that no special token takes a row, and
     ``word`` gives the word of each position. A merge writes the new id over
     each site's left id and -1 over its right one, and links around the right
     one: ``nxt`` and ``prv`` give a live position's neighbours, or position
-    ``n`` (id -1) past either end of its word. The exact pair counts are a
-    dense table, a row and a column per id below ``stop``, so a row-major
-    argmax picks the highest count, then the lowest left id, then the lowest
-    right id. A merge rewrites all its sites at once and adds the count changes
-    of their neighbour pairs, weighted by word frequency, in one scatter.
+    ``n`` (id -1) past either end of its word. Ids are int32, and so are word
+    indices and links while they fit; pair keys and counts are int64. The
+    exact pair counts are a dense table, a row and a column per id below
+    ``stop``, so a row-major argmax picks the highest count, then the lowest
+    left id, then the lowest right id. A merge rewrites all its sites at once
+    and adds the count changes of their neighbour pairs, weighted by word
+    frequency, in one scatter.
     """
     import numpy as np  # not at the top: see collection.subsample_to_target
 
     n, size = len(ids), stop - byte_offset
-    ids = np.append(ids - byte_offset, -1)
-    word = np.repeat(np.arange(len(lengths)), lengths)
+    index = _index_type(n + 2)
+    ids = np.concatenate((ids - byte_offset, (-1,)), dtype=np.int32)
+    word = np.repeat(np.arange(len(lengths), dtype=index), lengths)
     ends = np.cumsum(lengths)
-    nxt = np.arange(1, n + 2)
+    nxt = np.arange(1, n + 2, dtype=index)
     nxt[ends - 1] = n
-    prv = np.arange(-1, n)
+    prv = np.arange(-1, n, dtype=index)
     prv[ends - lengths] = n
-    pos = np.flatnonzero(nxt[:n] < n)
+    # Each position and the next, weighted by zero across a word's end: no
+    # index of the pairs' positions, which would be the largest temporary.
+    key = ids[: n - 1].astype(np.int64)
+    key *= size
+    key += ids[1:n]
+    weight = freq[word[: n - 1]]
+    weight[nxt[: n - 1] == n] = 0
     counts = np.zeros(size * size, np.int64)
-    np.add.at(counts, ids[pos] * size + ids[pos + 1], freq[word[pos]])
+    np.add.at(counts, key, weight)
+    del key, weight
     while len(pieces) < stop:
         best = int(np.argmax(counts))
         if counts[best] < _MIN_PAIR_FREQ:
@@ -382,7 +437,8 @@ def _array_merges(ids, lengths, freq, pieces, existing, merges, stop, byte_offse
         q = ids[nxt[gone]]
         w = freq[word[sites]]
         has_p, has_q = p >= 0, q >= 0
-        p, wp, q, wq = p[has_p], w[has_p], q[has_q], w[has_q]
+        p, wp = p[has_p].astype(np.int64), w[has_p]
+        q, wq = q[has_q].astype(np.int64), w[has_q]
         changed = (p * size + left, p * size + new_id, right * size + q, new_id * size + q)
         np.add.at(counts, np.concatenate(changed), np.concatenate((-wp, wp, -wq, wq)))
         counts[best] = 0
@@ -397,25 +453,30 @@ def _array_merges(ids, lengths, freq, pieces, existing, merges, stop, byte_offse
 def _loop_state(ids, lengths, freq, size):
     """The loop's state for flat words of ids below ``size``: each word as an
     id tuple, which the garbage collector stops tracking, ``freq`` as a list,
-    and each pair's exact count and the words that hold it, keyed by the int
-    ``left * size + right``. Each id and word index is one shared int object."""
+    each pair's exact count keyed by the int ``left * size + right``, and the
+    words that hold each pair as three sorted arrays: the int64 pair keys, the
+    start of each key's words and one past the last, and the word indices, in
+    order and once per pair. Each id is one shared int object."""
     import numpy as np  # not at the top: see collection.subsample_to_target
 
+    word = np.repeat(np.arange(len(lengths), dtype=_index_type(len(lengths))), lengths)
+    pos = np.flatnonzero(word[:-1] == word[1:])
+    key = ids[pos].astype(np.int64) * size + ids[pos + 1]
+    # A stable sort keeps each key's positions, and so its words, in order.
+    order = np.argsort(key, kind="stable")
+    key, member = key[order], word[pos][order]
+    del word, pos, order
+    first = np.diff(key, prepend=-1) != 0
+    totals = np.add.reduceat(freq[member], np.flatnonzero(first)).tolist()
+    keys = key[first]
+    once = first | (np.diff(member, prepend=-1) != 0)
+    member = member[once]
+    starts = np.append(np.flatnonzero(first[once]), len(member))
+    del key, first, once
     id_ints = np.arange(size).astype(object)
-    word = np.repeat(np.arange(len(lengths)), lengths)
     flat = id_ints[ids].tolist()
     words = [tuple(flat[a:b]) for a, b in pairwise(chain((0,), np.cumsum(lengths).tolist()))]
-    pos = np.flatnonzero(word[:-1] == word[1:])
-    key = ids[pos] * size + ids[pos + 1]
-    order = np.argsort(key)
-    key, member = key[order], word[pos][order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    totals = np.add.reduceat(freq[member], starts).tolist()
-    members = np.arange(len(lengths)).astype(object)[member].tolist()
-    spans = pairwise(chain(starts.tolist(), (len(members),)))
-    keys = key[starts].tolist()
-    pair_words = {k: set(members[a:b]) for k, (a, b) in zip(keys, spans)}
-    return words, freq.tolist(), dict(zip(keys, totals)), pair_words
+    return words, freq.tolist(), dict(zip(keys.tolist(), totals)), (keys, starts, member)
 
 
 def _leftmost_sites(sites, touching):

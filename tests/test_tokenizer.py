@@ -5,7 +5,9 @@ import json
 import operator
 import random
 import re
+import sys
 import tracemalloc
+import weakref
 from collections import Counter, defaultdict
 from unittest import mock
 
@@ -24,6 +26,7 @@ from oracles import (
     naive_train_bpe,
     naive_train_bpe_counts,
 )
+from synthdata import LANGUAGES, SyntheticLanguages
 
 ASCII_WS = b" \t\n\r\x0b\x0c"
 
@@ -73,6 +76,30 @@ TRAIN_PATHS = {"loop": 0, "switch-2": 2, "arrays": 10**9}
 
 def train_path(name):
     return mock.patch.object(tokenizer, "_ARRAY_MERGES", TRAIN_PATHS[name])
+
+
+def locals_at_return(function, call):
+    """Run ``call()`` and return the locals of ``function``'s last frame as it returned."""
+    seen = {}
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            seen.update(frame.f_locals)
+        return on_return
+
+    def on_call(frame, event, arg):
+        if frame.f_code is not function.__code__:
+            return None
+        frame.f_trace_lines = False
+        return on_return
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return seen
 
 
 def assert_trains_like_naive(docs, vocab_size):
@@ -143,6 +170,15 @@ class TestTrainBpe:
         model = assert_trains_like_naive(docs_from([" ".join(random_words(rng))]), 300)
         assert len(model.merges) > TRAIN_PATHS["switch-2"]
 
+    def test_int64_positions_train_alike(self):
+        # Past 2**31 positions the array rounds and the loop's word index
+        # switch from int32 to int64.
+        rng = random.Random(42)
+        with mock.patch.object(tokenizer, "_index_type", lambda n: np.int64):
+            assert_trains_like_naive(docs_from([" ".join(random_words(rng))]), 300)
+        assert tokenizer._index_type(2**31) is np.int32
+        assert tokenizer._index_type(2**31 + 1) is np.int64
+
     @settings(max_examples=300, deadline=None)
     @given(docs=tiny_alphabet_corpora(), vocab_size=st.integers(260, 300))
     def test_matches_naive_oracle_on_tiny_alphabets(self, docs, vocab_size):
@@ -176,7 +212,8 @@ class TestTrainBpe:
         lengths = np.array([n for _, sizes in batches for n in sizes], np.int64)
         freq = np.array([f for _, f in table], np.int64)
         size = runs_model.piece_count
-        words, freqs, pair_counts, pair_words = tokenizer._loop_state(ids, lengths, freq, size)
+        state = tokenizer._loop_state(ids, lengths, freq, size)
+        words, freqs, pair_counts, (keys, starts, members) = state
         expected = [naive_encode_bytes(pieces, merges, runs_model.byte_offset, w) for w, _ in table]
         counts, holders = Counter(), defaultdict(set)
         for index, (word, (_, f)) in enumerate(zip(expected, table)):
@@ -186,19 +223,27 @@ class TestTrainBpe:
         assert words == [tuple(word) for word in expected]
         assert freqs == freq.tolist()
         assert pair_counts == dict(counts)
-        assert pair_words == dict(holders)
+        # Each pair's words, exactly and in order, between its key's starts.
+        assert keys.tolist() == sorted(holders)
+        assert starts[0] == 0 and starts[-1] == len(members)
+        assert [members[a:b].tolist() for a, b in itertools.pairwise(starts)] == [
+            sorted(holders[key]) for key in sorted(holders)
+        ]
 
     def test_loop_state_is_left_to_the_garbage_collector_after_one_pass(self):
         # The loop's speed rests on this: the collector stops walking words
-        # that hold only ints, and pair keys are ints, not tuples.
+        # that hold only ints, pair keys are ints, not tuples, and the words
+        # of each pair are integer arrays, not one set per pair.
         table = [b"abab", b"aaaa", b"abcab", b"ba"]
-        ids = np.array([3 + b for word in table for b in word], np.int64)
+        ids = np.array([3 + b for word in table for b in word], np.int32)
         lengths = np.array(list(map(len, table)), np.int64)
         freq = np.array([5, 2, 1, 7], np.int64)
-        words, _, pair_counts, pair_words = tokenizer._loop_state(ids, lengths, freq, 300)
+        words, _, pair_counts, index = tokenizer._loop_state(ids, lengths, freq, 300)
         gc.collect()
         assert not any(map(gc.is_tracked, words))
-        assert all(type(key) is int for key in itertools.chain(pair_counts, pair_words))
+        assert all(type(key) is int for key in pair_counts)
+        assert all(isinstance(array, np.ndarray) and array.dtype.kind == "i" for array in index)
+        assert not any(map(gc.is_tracked, index))
 
     @pytest.mark.parametrize("path", sorted(TRAIN_PATHS))
     def test_ties_survive_int_heap_entries_at_large_counts(self, path):
@@ -217,9 +262,66 @@ class TestTrainBpe:
         assert len(naive_train_bpe_counts(table, vocab_size + 1)[1]) == 12
         with train_path(path):
             pieces = expected[0][: 3 + 256]
-            merges = tokenizer._learn_merges(table, pieces, vocab_size, 3)
+            flat = tokenizer._flat_words({"ind": [1, 0, table]}, 3)
+            merges = tokenizer._learn_merges(*flat, pieces, vocab_size, 3)
         assert (pieces, merges) == expected
         assert pieces[vocab_size - 1] == b"xyzxyz"
+
+    def test_no_word_table_is_alive_once_array_rounds_start(self):
+        # Each language's counter is summed and dropped before learning, and
+        # so is the sum once it is flat.
+        texts = [" ".join(random_words(random.Random(seed))) for seed in range(3)]
+        docs = [doc for lang, text in zip(LANGUAGES, texts) for doc in docs_from([text], lang)]
+        counters, alive = [], []
+        array_merges = tokenizer._array_merges
+
+        def counted(docs):
+            table = count_words(docs)
+            counters.extend(weakref.ref(counts) for _, _, counts in table.values())
+            return table
+
+        def checked(*args):
+            alive.append([ref() is not None for ref in counters])
+            return array_merges(*args)
+
+        with (
+            mock.patch.object(tokenizer, "count_words", counted),
+            mock.patch.object(tokenizer, "_array_merges", checked),
+        ):
+            model = tokenizer.train_bpe(docs, 300)
+        assert alive == [[False, False, False]]
+        assert model.merges == tokenizer.train_bpe(docs, 300).merges
+
+    @pytest.mark.parametrize("path", ["loop", "switch-2"])  # "arrays" leaves the loop no merge
+    def test_loop_keeps_words_only_for_counted_pairs(self, path):
+        # At the end of training the loop's counts equal a recount of its
+        # words, every pair holding a word lists that word, and no pair keeps
+        # a word list without a count: a pair that dies loses both.
+        rng = random.Random(8)
+        docs = docs_from([" ".join(random_words(rng, n_types=200, n_words=2000))])
+        with train_path(path):
+            state = locals_at_return(
+                tokenizer._learn_merges, lambda: tokenizer.train_bpe(docs, 500)
+            )
+        size, pair_counts, minted = state["size"], state["pair_counts"], state["minted"]
+        keys, starts, holders = state["keys"], state["starts"], state["holders"]
+        counts, held = Counter(), defaultdict(set)
+        for index, (word, freq) in enumerate(zip(state["words"], state["freqs"])):
+            for left, right in zip(word, word[1:]):
+                counts[left * size + right] += freq
+                held[left * size + right].add(index)
+        assert pair_counts == dict(counts)
+        assert minted and minted.keys() <= pair_counts.keys()
+        for key in pair_counts:
+            if key in minted:
+                recorded = minted[key]
+            else:
+                at = np.searchsorted(keys, key)
+                assert keys[at] == key
+                recorded = holders[starts[at] : starts[at + 1]].tolist()
+            assert held[key] <= set(recorded), key
+        gc.collect()
+        assert not any(map(gc.is_tracked, minted.values()))
 
     def test_adjacent_merge_sites_match_naive_oracle(self):
         model = assert_trains_like_naive(docs_from(["aaaaaaa aaaa aaa"]), 280)
@@ -239,6 +341,12 @@ class TestTrainBpe:
         model = assert_trains_like_naive(docs_from(["ab ab cd xyz"]), 300)
         assert model.merges == ((byte_id(model, "a"), byte_id(model, "b")),)
         assert len(model.pieces) < 300
+
+    def test_vocab_size_beyond_what_the_words_can_give(self):
+        # Training stops when no pair occurs twice, however large the target:
+        # the loop's pair keys and arrays follow the words, not vocab_size.
+        model = assert_trains_like_naive(docs_from(["ab ab abc abc aaaa"]), 10**100)
+        assert len(model.pieces) == 262
 
     def test_merges_never_cross_whitespace(self):
         model = tokenizer.train_bpe(docs_from(["ab ab ab ab"]), 256 + 3 + 6)
@@ -276,6 +384,28 @@ class TestTrainBpe:
 def model():
     texts = ["aku makan nasi goreng", "aku minum kopi", "makan makan nasi"]
     return tokenizer.train_bpe(docs_from(texts), 256 + 3 + 20)
+
+
+class TestTrainingMemory:
+    """Training holds no word table while it learns, and the loop keeps each
+    pair's words as slices of sorted arrays or one tuple, not as a set."""
+
+    def test_traced_peak_of_training(self):
+        synth = SyntheticLanguages(seed=0)
+        docs = synth.documents({lang: 0.1 for lang in LANGUAGES}, 1_000_000, seed=1, source="m")
+        tokenizer.train_bpe(docs[:20], 300)  # numpy loads outside the trace
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model = tokenizer.train_bpe(docs, 4000)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert len(model.pieces) == 4000
+        # With a set of words per pair and the word table alive while merges
+        # are learned, the peak here is 42.8 MB; this layout's is 23.2 MB.
+        assert peak < 32 * 2**20
 
 
 class TestEncodeDecode:
