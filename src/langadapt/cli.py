@@ -204,9 +204,40 @@ def _read_all(key: str, files: list[dict]):
             yield item
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, nested ``indent`` deep.
+
+    ``indent`` makes ``json`` fall back to its pure-Python encoder. Here the C
+    encoder writes each container that holds no other, the indentation in its
+    item separator; a container that holds one is written item by item.
+    """
+    if not isinstance(value, _CONTAINERS) or not value:
+        return json.dumps(value, ensure_ascii=False)
+    inner = indent + "  "
+    items = value.values() if isinstance(value, dict) else value
+    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
+        text = json.dumps(value, ensure_ascii=False, separators=(",\n" + inner, ": "))
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}"
+    if isinstance(value, dict):
+        # The encoder words the key as it would in place: {key: null} ends in "null}".
+        parts = [
+            json.dumps({key: None}, ensure_ascii=False)[1:-5] + _indented(item, inner)
+            for key, item in value.items()
+        ]
+        brackets = "{}"
+    else:
+        parts = [_indented(item, inner) for item in value]
+        brackets = "[]"
+    body = (",\n" + inner).join(parts)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-    path.write_text(text, encoding="utf-8", newline="\n")
+    """Write ``json.dumps(payload, indent=2, ensure_ascii=False)`` and a newline."""
+    path.write_text(_indented(payload) + "\n", encoding="utf-8", newline="\n")
 
 
 def _publish(stage: Path, outdir: Path, manifest: dict) -> None:

@@ -171,6 +171,10 @@ def _encodable(text: str, what: str) -> str:
     return text
 
 
+def _invalid_utf8(path, lineno: int, exc: UnicodeDecodeError) -> IngestError:
+    return IngestError(f"{path}: line {lineno}: invalid UTF-8 at byte {exc.start}: {exc.reason}")
+
+
 def _read_lines(path) -> Iterator[tuple[int, str]]:
     """Yield ``(lineno, line)`` for each line of a UTF-8 file, 1-based.
 
@@ -183,9 +187,7 @@ def _read_lines(path) -> Iterator[tuple[int, str]]:
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise IngestError(
-                    f"{path}: line {lineno}: invalid UTF-8 at byte {exc.start}: {exc.reason}"
-                ) from exc
+                raise _invalid_utf8(path, lineno, exc) from exc
             yield lineno, line
 
 
@@ -261,48 +263,59 @@ def _read_jsonl(path, make, what: str | None = None) -> Iterator:
     """
     # Ids by source (None for model outputs): (source, id) tuples took 1.4x the memory.
     seen: defaultdict[str | None, set[str]] = defaultdict(set)
-    for lineno, line in _read_lines(path):
-        payload = line.strip()
-        if not payload:
-            continue
-        try:
-            # The payload is already stripped: raw_decode skips the two
-            # whitespace scans of decode, so trailing data is checked here.
-            record, end = _JSON.raw_decode(payload)
-            if end != len(payload):
-                raise json.JSONDecodeError("Extra data", payload, end)
-            if not isinstance(record, dict):
-                raise ValueError("record must be an object")
-            if "id" in record:
-                record_id = str(_typed(record["id"], "a string or an integer", "id"))
-                if not _encodable(record_id, "id"):
-                    raise ValueError("id must be a non-empty string or an integer, got ''")
-            elif what:
-                record_id = str(lineno - 1)
-            else:
-                raise ValueError("record has no 'id'")
-            if what is None:
-                if record_id in seen[None]:
-                    raise ValueError(f"duplicate id {record_id!r}")
-                seen[None].add(record_id)
-            item = make(record, record_id)
-            if item is None:
-                continue
-            if what is not None:
-                ids = seen[item.source]
-                if record_id in ids:
-                    where = f"for source {item.source!r}"
-                    raise ValueError(f"duplicate {what} id {record_id!r} {where}")
-                ids.add(record_id)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
-        except RecursionError as exc:
-            raise IngestError(f"{path}: line {lineno}: invalid JSON: nested too deeply") from exc
-        except KeyError as exc:
-            raise IngestError(f"{path}: line {lineno}: missing key {exc}") from exc
-        except ValueError as exc:
-            raise IngestError(f"{path}: line {lineno}: {exc}") from exc
-        yield item
+    output_ids = seen[None]
+    scan = _JSON.scan_once  # what raw_decode calls, without its wrapper
+    # Lines as _read_lines splits them, in this loop: a generator per line cost more.
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                payload = raw.decode("utf-8").strip()
+                if not payload:
+                    continue
+                try:
+                    record, end = scan(payload, 0)
+                except StopIteration as exc:  # the one error raw_decode words itself
+                    raise json.JSONDecodeError("Expecting value", payload, exc.value) from None
+                # The payload is already stripped, so trailing data is checked here.
+                if end != len(payload):
+                    raise json.JSONDecodeError("Extra data", payload, end)
+                if not isinstance(record, dict):
+                    raise ValueError("record must be an object")
+                if "id" in record:
+                    record_id = record["id"]
+                    if type(record_id) is not str:
+                        record_id = str(_typed(record_id, "a string or an integer", "id"))
+                    if not _encodable(record_id, "id"):
+                        raise ValueError("id must be a non-empty string or an integer, got ''")
+                elif what:
+                    record_id = str(lineno - 1)
+                else:
+                    raise ValueError("record has no 'id'")
+                if what is None:
+                    if record_id in output_ids:
+                        raise ValueError(f"duplicate id {record_id!r}")
+                    output_ids.add(record_id)
+                item = make(record, record_id)
+                if item is None:
+                    continue
+                if what is not None:
+                    ids = seen[item.source]
+                    if record_id in ids:
+                        where = f"for source {item.source!r}"
+                        raise ValueError(f"duplicate {what} id {record_id!r} {where}")
+                    ids.add(record_id)
+            except UnicodeDecodeError as exc:
+                raise _invalid_utf8(path, lineno, exc) from exc
+            except json.JSONDecodeError as exc:
+                raise IngestError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
+            except RecursionError as exc:
+                message = "invalid JSON: nested too deeply"
+                raise IngestError(f"{path}: line {lineno}: {message}") from exc
+            except KeyError as exc:
+                raise IngestError(f"{path}: line {lineno}: missing key {exc}") from exc
+            except ValueError as exc:
+                raise IngestError(f"{path}: line {lineno}: {exc}") from exc
+            yield item
 
 
 def ingest(

@@ -7,14 +7,17 @@ preference rate. All aggregates use exact summation (math.fsum), so scores
 are invariant under any permutation of the examples.
 
 chrF++ and BLEU count n-grams with numpy arrays over consecutive batches of
-pairs of at most 8 192 characters, so their memory follows one batch, not
-the input. One ranking pass tags each symbol with its pair, so the runs of
-an n-gram are its pair's hypothesis, then its references; chrF++ clips each
-reference's counts by the hypothesis's, BLEU the hypothesis's by the largest
-reference's. Scores are bit-identical to counting string slices or word
-tuples (``tests/oracles.py``: ``counter_chrf_pp``, ``counter_bleu``). BLEU
-keeps integer statistics per pair and combines their sums in one step. Both
-count orders only up to the longest sequence: higher orders have no n-grams.
+pairs, of at most 8 192 characters for chrF++ and 32 768 for BLEU, so their
+memory follows one batch, not the input. One ranking pass tags each symbol
+with its pair, so the runs of an n-gram are its pair's hypothesis, then its
+references; an n-gram that the pair's hypothesis and references do not both
+hold stops extending, since no longer n-gram on it can match. chrF++ clips
+each reference's counts by the hypothesis's, BLEU the hypothesis's by the
+largest reference's. Scores are bit-identical to counting string slices or
+word tuples (``tests/oracles.py``: ``counter_chrf_pp``, ``counter_bleu``).
+BLEU keeps integer statistics per pair and combines their sums in one step.
+Both count orders only up to the longest sequence: higher orders have no
+n-grams.
 
 Tie rules are fixed for determinism: argmax breaks ties by lowest index, and
 the safety preference counts only strict inequalities.
@@ -92,7 +95,7 @@ class LikelihoodPair:
     harmful_score: float
 
     def __post_init__(self) -> None:
-        if not (_finite(self.benign_score) and _finite(self.harmful_score)):
+        if not _all_finite((self.benign_score, self.harmful_score)):
             raise ValueError(f"non-finite likelihood score for pair {self.id!r}")
 
 
@@ -111,7 +114,7 @@ class MC1Item:
                 f"item {self.id!r}: gold_index {self.gold_index} out of range "
                 f"for {len(self.option_scores)} options"
             )
-        if not all(map(_finite, self.option_scores)):
+        if not _all_finite(self.option_scores):
             raise ValueError(f"non-finite option score for item {self.id!r}")
 
 
@@ -135,9 +138,11 @@ class MetricReport:
         return payload
 
 
-def _finite(score: float) -> bool:
-    # A JSON integer of any size is finite; math.isfinite would overflow on it.
-    return isinstance(score, int) or math.isfinite(score)
+def _all_finite(scores: Iterable[float]) -> bool:
+    try:
+        return all(map(math.isfinite, scores))
+    except OverflowError:  # from an integer too large for a float, which is finite
+        return all(isinstance(score, int) or math.isfinite(score) for score in scores)
 
 
 def _check_examples(name: str, items: Sequence) -> None:
@@ -254,10 +259,13 @@ def _hyp_runs(codes, lengths, pair_of, orders: int):
     each text's length and ``pair_of`` each text's pair; a pair's texts are
     consecutive, its hypothesis first. Each symbol is tagged with its pair,
     so an n-gram belongs to one pair and its runs are that pair's
-    hypothesis, if it holds the n-gram, then its references, by text. Each
-    order yields ``(run_text, run_hyp, first, in_hyp, counts)``: each run's
-    text, whether that text is a hypothesis, the first run of each n-gram,
-    the n-gram's count in the hypothesis, and each run's count.
+    hypothesis, if it holds the n-gram, then its references, by text. Only
+    n-grams whose (n-1)-gram the pair's hypothesis and one of its references
+    both hold are ranked: no other can match. Each order yields ``(run_text,
+    run_hyp, first, in_hyp, counts)``: each run's text, whether that text is
+    a hypothesis, the first run of each n-gram, the n-gram's count in the
+    hypothesis, and each run's count; an order with no such n-gram yields
+    empty arrays.
     """
     import numpy as np  # not at the top: see collection.subsample_to_target
 
@@ -280,19 +288,26 @@ def _hyp_runs(codes, lengths, pair_of, orders: int):
         if n == 1:
             keys, inverse, counts = np.arange(width), tail, np.bincount(tail, minlength=width)
         else:
-            keep = left[pos] >= n
+            # A position stays while its text goes on for n symbols and its
+            # (n-1)-gram is shared.
+            keep = (left[pos] >= n) & shared[gram]
             pos, gram = pos[keep], gram[keep]
             keys, inverse, counts = np.unique(
                 gram * width + tail[pos + n - 1], return_inverse=True, return_counts=True
             )
         prefix, last = np.divmod(keys, width)
         run_text, last = tail_text[last], tail_tag[last]
-        new = np.concatenate(([True], (prefix[1:] != prefix[:-1]) | (last[1:] != last[:-1])))
-        gram = np.cumsum(new)[inverse]
+        # The first run opens an n-gram; an order with no n-grams has no runs.
+        opens = (prefix[1:] != prefix[:-1]) | (last[1:] != last[:-1])
+        new = np.concatenate((keys[:1] >= 0, opens))
+        gram = (np.cumsum(new) - 1)[inverse]
         first = np.flatnonzero(new)
         run_hyp = is_hyp[run_text]
-        # A hypothesis run is the first run of its n-gram.
-        yield run_text, run_hyp, first, np.where(run_hyp[first], counts[first], 0), counts
+        # A hypothesis run is the first run of its n-gram, so a shared one
+        # has a hypothesis run and another after it.
+        in_hyp = np.where(run_hyp[first], counts[first], 0)
+        shared = (in_hyp > 0) & (np.diff(first, append=len(counts)) > 1)
+        yield run_text, run_hyp, first, in_hyp, counts
 
 
 def _chrf_pair(counts: list[tuple[int, int, int]], beta: float) -> float:

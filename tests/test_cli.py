@@ -15,6 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from langadapt import cli, collection, corpus, metrics, tokenizer, vocab_adapt
 from langadapt.cli import main
@@ -1351,6 +1352,35 @@ class TestPublish:
         assert capsys.readouterr().err == "error: disk full\n"
         assert moved == ["collection_manifest.json"]
         assert sorted(os.listdir(out)) == [n for n in self.BUILT if n != "manifest.json"]
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200).flatmap(lambda big: st.sampled_from([big, -big]))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()  # control characters and non-ASCII included
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=5))
+@example(payload={})
+@example(payload={"empty": {}, "none": [], "deep": [[{}], {"a": [[]]}, []], "flat": {"x": []}})
+@example(payload={"big": [2**64, -(2**70)], "floats": [-0.0, 1e16, 5e-324], "flags": [True, None]})
+@example(payload={"é\u0000\t\u001f\u2028": "ü\"\\\x7f字", "": {"": ""}})
+def test_write_json_equals_json_dumps_with_indent(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("json") / "payload.json"
+    cli._write_json(path, payload)
+    expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestFailedRunOut:

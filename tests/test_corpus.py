@@ -221,8 +221,20 @@ def test_blank_lines_skipped(tmp_path, reader):
         ('{"id": "b", "x": [Infinity]}', "invalid JSON: Infinity is not a JSON number"),
         ('{"id": "b", "x": -Infinity}', "invalid JSON: -Infinity is not a JSON number"),
         ('{"id": "b"} {"id": "c"}', "invalid JSON: Extra data"),
+        # The one message raw_decode builds itself, from the scanner's StopIteration.
+        ("]", "invalid JSON: Expecting value"),
     ],
-    ids=["invalid", "list", "string", "nested", "nan", "infinity", "minus-infinity", "extra-data"],
+    ids=[
+        "invalid",
+        "list",
+        "string",
+        "nested",
+        "nan",
+        "infinity",
+        "minus-infinity",
+        "extra-data",
+        "expecting-value",
+    ],
 )
 def test_malformed_line_fails_alike_in_every_reader(tmp_path, reader, line, message):
     read, record = ID_READERS[reader]

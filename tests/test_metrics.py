@@ -193,6 +193,21 @@ class TestChrfPP:
         word_order=2,
         budget=metrics._CHRF_BATCH_CHARS,
     )
+    # One batch: pair 1 shares only unigrams, so its bigrams stop extending,
+    # while pair 2, made of the same symbols, matches at every order.
+    @example(
+        pairs=[prediction("1", "ab c", "c ba"), prediction("2", "ab c", "ab c")],
+        char_order=6,
+        word_order=2,
+        budget=metrics._CHRF_BATCH_CHARS,
+    )
+    # One batch in which no bigram is shared: orders 3 to 6 have no runs left.
+    @example(
+        pairs=[prediction("1", "abc def", "fed cba"), prediction("2", "aaa", "zzz")],
+        char_order=6,
+        word_order=2,
+        budget=metrics._CHRF_BATCH_CHARS,
+    )
     def test_equals_counter_oracle(self, pairs, char_order, word_order, budget):
         # Small budgets make the drawn lists cross batch boundaries; budget 1
         # puts every pair above it, in a batch of its own.
@@ -329,6 +344,21 @@ class TestBleuStatistics:
         max_order=4,
         smoothing="add_eps_exp",
         budget=8,
+    )
+    # One batch: pair 1 shares only unigrams, so its bigrams stop extending,
+    # while pair 2, made of the same words, matches at every order.
+    @example(
+        pairs=[prediction("1", "a b c", "c b a"), prediction("2", "a b c", "a b c")],
+        max_order=4,
+        smoothing="none",
+        budget=metrics._BLEU_BATCH_CHARS,
+    )
+    # One batch in which no bigram is shared: orders 3 and 4 have no runs left.
+    @example(
+        pairs=[prediction("1", "a b c d e", "e d c b a"), prediction("2", "f g", "h i")],
+        max_order=4,
+        smoothing="add_eps_exp",
+        budget=metrics._BLEU_BATCH_CHARS,
     )
     def test_equals_counter_oracle(self, pairs, max_order, smoothing, budget):
         # Small budgets make the drawn lists cross batch boundaries; budget 1
